@@ -3,16 +3,13 @@ package opt
 import (
 	"fmt"
 	"math"
-	"reflect"
 	"sort"
 	"sync"
-	"time"
 
 	"stordep/internal/core"
 	"stordep/internal/device"
 	"stordep/internal/failure"
 	"stordep/internal/parallel"
-	"stordep/internal/protect"
 	"stordep/internal/units"
 	"stordep/internal/whatif"
 )
@@ -77,34 +74,12 @@ const (
 	compileProbes = 16
 )
 
-// demandRec is one captured device demand: device.Demand with the
-// device and technique names resolved to indices.
-type demandRec struct {
-	dev  int32
-	tech int32 // interned Demand.Technique
-	bw   units.Rate
-	cap  units.ByteSize
-	ship float64
-}
-
-// levelFrag carries everything one hierarchy level contributes to a
-// candidate row: the batch-kernel columns plus the level's device
-// demands in their exact registration order.
-type levelFrag struct {
-	lag, accW, retSpan time.Duration
-	restore            units.ByteSize
-	copyIdx, readIdx   int32
-	transportIdx       int32 // -1 when the technique names no transport
-	nameID             int32 // interned level name, for the duplicate check
-	demands            []demandRec
-}
-
 // groupEntry is one joint option combination of a knob group: either
 // the precomputed fragments/specs, or suspect (candidate goes slow).
 type groupEntry struct {
 	suspect bool
-	frags   []levelFrag   // aligned with knobGroup.levels
-	specs   []device.Spec // aligned with knobGroup.devices
+	frags   []core.LevelFrag // aligned with knobGroup.levels
+	specs   []device.Spec    // aligned with knobGroup.devices
 }
 
 // knobGroup unions knobs whose touch footprints overlap. Its table
@@ -121,83 +96,26 @@ type knobGroup struct {
 
 // compiledSpace is the compiled form of (base design, knob set,
 // scenario set): immutable after compileSpace, safe for concurrent fill
-// with distinct fillScratch/Cols.
+// with distinct core.RowScratch/Cols. Turning a candidate's fragments
+// and specs into a row is the shared core.RowBuilder's job; this type
+// owns only the knob side — footprints, groups and their joint tables.
 type compiledSpace struct {
 	base  *core.Design
 	knobs []Knob
 	scs   []failure.Scenario
 	kern  *core.BatchKernel
+	rb    *core.RowBuilder
 
 	nLevels  int
 	nDevices int
-	maxRows  int // max distinct outlay techniques per device
-
-	baseFrags      []levelFrag
-	primaryDemands []demandRec
-	baseSpecs      []device.Spec
 
 	groups     []knobGroup
 	levelOwner []int // level -> owning group, -1 = untouched (base)
-	levelSlot  []int // position in the owner's levels list
-	specOwner  []int
-	specSlot   []int
+	specOwner  []int // device -> owning group, -1 = base spec
+	specSlot   []int // position in the owner's devices list
 	// knobSuspect[k][o]: option o of knob k is unrepresentable (apply
 	// error or forbidden change) — every candidate choosing it is slow.
 	knobSuspect [][]bool
-
-	names *interner
-
-	// Facility retainer replication: covered[d] marks devices whose base
-	// outlays the retainer covers.
-	retainer   bool
-	costFactor float64
-	covered    []bool
-}
-
-// interner maps technique/level names to dense IDs. Locked because
-// group extraction runs on the worker pool; IDs are compile-time only.
-type interner struct {
-	mu  sync.Mutex
-	ids map[string]int32
-}
-
-func (in *interner) id(name string) int32 {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	if id, ok := in.ids[name]; ok {
-		return id
-	}
-	id := int32(len(in.ids))
-	in.ids[name] = id
-	return id
-}
-
-// fillScratch is one worker's reusable buffers for fill: demand totals,
-// outlay rows, and the per-candidate fragment/spec resolution. No
-// allocation happens in fill once a scratch exists.
-type fillScratch struct {
-	entry []*groupEntry  // per group: the candidate's entry
-	frags []*levelFrag   // per level: candidate fragment
-	specs []*device.Spec // per device: candidate spec
-
-	totBW    []units.Rate
-	totCap   []units.ByteSize
-	rowTech  []int32 // nDevices x maxRows outlay-row technique IDs
-	rowBase  []units.Money
-	rowCount []int
-}
-
-func newFillScratch(cs *compiledSpace) *fillScratch {
-	return &fillScratch{
-		entry:    make([]*groupEntry, len(cs.groups)),
-		frags:    make([]*levelFrag, cs.nLevels),
-		specs:    make([]*device.Spec, cs.nDevices),
-		totBW:    make([]units.Rate, cs.nDevices),
-		totCap:   make([]units.ByteSize, cs.nDevices),
-		rowTech:  make([]int32, cs.nDevices*cs.maxRows),
-		rowBase:  make([]units.Money, cs.nDevices*cs.maxRows),
-		rowCount: make([]int, cs.nDevices),
-	}
 }
 
 // compileSpace builds the compiled form or reports why it cannot. A nil
@@ -219,18 +137,18 @@ func compileSpace(base *core.Design, knobs []Knob, scs []failure.Scenario, worke
 	if err != nil {
 		return nil, fmt.Errorf("opt: compile: %w", err)
 	}
+	rb, err := core.NewRowBuilder(base, kern)
+	if err != nil {
+		return nil, fmt.Errorf("opt: compile: %w", err)
+	}
 	cs := &compiledSpace{
 		base:     base,
 		knobs:    knobs,
 		scs:      scs,
 		kern:     kern,
+		rb:       rb,
 		nLevels:  kern.Levels(),
 		nDevices: kern.Devices(),
-		names:    &interner{ids: make(map[string]int32)},
-	}
-	cs.maxRows = cs.nLevels + 1 // primary + one technique per level
-	if err := cs.extractBase(); err != nil {
-		return nil, fmt.Errorf("opt: compile: base: %w", err)
 	}
 	remaining := maxCompileWork - work
 	if err := cs.groupKnobs(remaining); err != nil {
@@ -245,197 +163,6 @@ func compileSpace(base *core.Design, knobs []Knob, scs []failure.Scenario, worke
 	return cs, nil
 }
 
-// fragment captures one level's contribution from technique tech,
-// applying the same validation Build would: any error means candidates
-// carrying this technique state must take the slow path.
-func (cs *compiledSpace) fragment(tech protect.Technique) (levelFrag, error) {
-	var f levelFrag
-	if err := tech.Validate(); err != nil {
-		return f, err
-	}
-	lv := tech.Level()
-	if lv.Name == "" {
-		return f, fmt.Errorf("opt: compile: level has no name")
-	}
-	if err := lv.Policy.Validate(); err != nil {
-		return f, err
-	}
-	f.lag = lv.Policy.TransferLag()
-	f.accW = lv.Policy.EffectiveAccW()
-	f.retSpan = lv.Policy.RetentionSpan()
-	f.restore = tech.RestoreSize(cs.base.Workload)
-	f.nameID = cs.names.id(lv.Name)
-	ci := cs.kern.DeviceIndex(tech.CopyDevice())
-	ri := cs.kern.DeviceIndex(tech.ReadDevice())
-	if ci < 0 || ri < 0 {
-		return f, fmt.Errorf("opt: compile: level %q references unknown device", lv.Name)
-	}
-	f.copyIdx, f.readIdx = int32(ci), int32(ri)
-	f.transportIdx = -1
-	if name := tech.TransportDevice(); name != "" {
-		// Unlike a missing transport in a built system (silently treated
-		// as "no transport" by the recovery model), Design.Validate
-		// rejects a transport name absent from the fleet — so an unknown
-		// name must go through the slow path to reproduce that error.
-		ti := cs.kern.DeviceIndex(name)
-		if ti < 0 {
-			return f, fmt.Errorf("opt: compile: level %q transport %q unknown", lv.Name, name)
-		}
-		f.transportIdx = int32(ti)
-	}
-	// Demands are policy/workload arithmetic only — no technique reads
-	// its devices' specs or prior demands (each computes from the
-	// workload and its own configuration) — so capturing them on a clean
-	// fleet of base-spec devices yields exactly the records Build's
-	// shared fleet receives from this technique, in the same order.
-	fleet := make(protect.DeviceMap, cs.nDevices)
-	devs := make([]*device.Device, cs.nDevices)
-	for i := range cs.baseSpecs {
-		dev, err := device.New(cs.baseSpecs[i])
-		if err != nil {
-			return f, err
-		}
-		fleet[cs.baseSpecs[i].Name] = dev
-		devs[i] = dev
-	}
-	if err := tech.ApplyDemands(cs.base.Workload, fleet); err != nil {
-		return f, err
-	}
-	for di, dev := range devs {
-		for _, dem := range dev.Demands() {
-			f.demands = append(f.demands, demandRec{
-				dev:  int32(di),
-				tech: cs.names.id(dem.Technique),
-				bw:   dem.Bandwidth,
-				cap:  dem.Capacity,
-				ship: dem.ShipmentsPerYear,
-			})
-		}
-	}
-	return f, nil
-}
-
-// extractBase captures the base design's specs, primary demands and
-// level fragments, plus the facility-retainer coverage map. The base
-// built successfully, so none of this may fail.
-func (cs *compiledSpace) extractBase() error {
-	d := cs.base
-	cs.baseSpecs = make([]device.Spec, cs.nDevices)
-	for i, pd := range d.Devices {
-		cs.baseSpecs[i] = pd.Spec
-	}
-	fleet := make(protect.DeviceMap, cs.nDevices)
-	devs := make([]*device.Device, cs.nDevices)
-	for i := range cs.baseSpecs {
-		dev, err := device.New(cs.baseSpecs[i])
-		if err != nil {
-			return err
-		}
-		fleet[cs.baseSpecs[i].Name] = dev
-		devs[i] = dev
-	}
-	if err := d.Primary.ApplyDemands(d.Workload, fleet); err != nil {
-		return err
-	}
-	for di, dev := range devs {
-		for _, dem := range dev.Demands() {
-			cs.primaryDemands = append(cs.primaryDemands, demandRec{
-				dev:  int32(di),
-				tech: cs.names.id(dem.Technique),
-				bw:   dem.Bandwidth,
-				cap:  dem.Capacity,
-				ship: dem.ShipmentsPerYear,
-			})
-		}
-	}
-	cs.baseFrags = make([]levelFrag, cs.nLevels)
-	for j, tech := range d.Levels {
-		f, err := cs.fragment(tech)
-		if err != nil {
-			return err
-		}
-		cs.baseFrags[j] = f
-	}
-	cs.covered = make([]bool, cs.nDevices)
-	if d.Facility != nil && d.Facility.CostFactor != 0 {
-		cs.retainer = true
-		cs.costFactor = d.Facility.CostFactor
-		primarySite := d.PrimaryPlacement().Site
-		for i, pd := range d.Devices {
-			cs.covered[i] = pd.Placement.Site != "" && pd.Placement.Site == primarySite
-		}
-	}
-	return nil
-}
-
-// diffTouch is the representable difference between a candidate design
-// and the base: which levels and device specs changed. ok=false means
-// the change cannot be carried by the tables (renamed design, moved or
-// renamed devices, spare/facility/primary/workload/requirements edits,
-// multi-sited reconfiguration, shape changes).
-type diffTouch struct {
-	ok      bool
-	levels  []int
-	devices []int
-}
-
-func (cs *compiledSpace) diff(d *core.Design) diffTouch {
-	b := cs.base
-	t := diffTouch{ok: true}
-	if d.Name != b.Name ||
-		!reflect.DeepEqual(d.Workload, b.Workload) ||
-		!reflect.DeepEqual(d.Requirements, b.Requirements) ||
-		!reflect.DeepEqual(d.Primary, b.Primary) ||
-		!reflect.DeepEqual(d.Facility, b.Facility) ||
-		len(d.Levels) != len(b.Levels) || len(d.Devices) != len(b.Devices) {
-		t.ok = false
-		return t
-	}
-	for i := range d.Devices {
-		dp, bp := &d.Devices[i], &b.Devices[i]
-		if dp.Placement != bp.Placement || dp.SparePlacement != bp.SparePlacement {
-			t.ok = false
-			return t
-		}
-		if dp.Spec == bp.Spec {
-			continue
-		}
-		// The kernel froze name resolution, kinds, fixed delays and
-		// spare provisioning at compile time; a knob changing those
-		// cannot ride the tables. Everything else about a spec (slot
-		// counts, rates, costs, overheads) is re-derived per candidate.
-		if dp.Spec.Name != bp.Spec.Name || dp.Spec.Kind != bp.Spec.Kind ||
-			dp.Spec.Delay != bp.Spec.Delay || dp.Spec.Spare != bp.Spec.Spare {
-			t.ok = false
-			return t
-		}
-		t.devices = append(t.devices, i)
-	}
-	for j := range d.Levels {
-		if reflect.DeepEqual(d.Levels[j], b.Levels[j]) {
-			continue
-		}
-		dm, dok := d.Levels[j].(protect.MultiSited)
-		bm, bok := b.Levels[j].(protect.MultiSited)
-		if dok != bok {
-			t.ok = false
-			return t
-		}
-		if dok {
-			// Multi-sited survival is placement arithmetic baked into
-			// the kernel; the fragment set and threshold must not move.
-			if reflect.TypeOf(d.Levels[j]) != reflect.TypeOf(b.Levels[j]) ||
-				dm.SurvivalThreshold() != bm.SurvivalThreshold() ||
-				!reflect.DeepEqual(dm.CopyDevices(), bm.CopyDevices()) {
-				t.ok = false
-				return t
-			}
-		}
-		t.levels = append(t.levels, j)
-	}
-	return t
-}
-
 // groupKnobs diffs every option of every knob against the base to learn
 // each knob's touch footprint, then unions knobs sharing a level or a
 // device spec into groups. budget bounds the total group table size.
@@ -444,6 +171,7 @@ func (cs *compiledSpace) groupKnobs(budget int) error {
 	cs.knobSuspect = make([][]bool, nk)
 	touchL := make([][]int, nk)
 	touchD := make([][]int, nk)
+	var t core.Touch
 	for k := range cs.knobs {
 		opts := cs.knobs[k].Options
 		cs.knobSuspect[k] = make([]bool, len(opts))
@@ -459,15 +187,14 @@ func (cs *compiledSpace) groupKnobs(budget int) error {
 				cs.knobSuspect[k][o] = true
 				continue
 			}
-			t := cs.diff(d)
-			if !t.ok {
+			if !cs.rb.Diff(d, &t) {
 				cs.knobSuspect[k][o] = true
 				continue
 			}
-			for _, j := range t.levels {
+			for _, j := range t.Levels {
 				lset[j] = true
 			}
-			for _, di := range t.devices {
+			for _, di := range t.Devices {
 				dset[di] = true
 			}
 		}
@@ -528,7 +255,6 @@ func (cs *compiledSpace) groupKnobs(budget int) error {
 	}
 
 	cs.levelOwner = make([]int, cs.nLevels)
-	cs.levelSlot = make([]int, cs.nLevels)
 	cs.specOwner = make([]int, cs.nDevices)
 	cs.specSlot = make([]int, cs.nDevices)
 	for j := range cs.levelOwner {
@@ -558,9 +284,8 @@ func (cs *compiledSpace) groupKnobs(budget int) error {
 			return fmt.Errorf("opt: compile: group tables exceed the compile work cap")
 		}
 		gi := len(cs.groups)
-		for slot, j := range g.levels {
+		for _, j := range g.levels {
 			cs.levelOwner[j] = gi
-			cs.levelSlot[j] = slot
 		}
 		for slot, di := range g.devices {
 			cs.specOwner[di] = gi
@@ -576,8 +301,9 @@ func (cs *compiledSpace) groupKnobs(budget int) error {
 // re-diffing against the base. Combinations whose effects stray outside
 // the group's footprint, or fail any validation, are marked suspect.
 // Extraction is the expensive part of compilation, so it runs on the
-// worker pool.
+// worker pool, each worker capturing demands on a pooled fleet.
 func (cs *compiledSpace) extractGroups(workers int) error {
+	var fleets sync.Pool
 	for gi := range cs.groups {
 		g := &cs.groups[gi]
 		g.entries = make([]groupEntry, g.size)
@@ -605,26 +331,33 @@ func (cs *compiledSpace) extractGroups(workers int) error {
 					return nil
 				}
 			}
-			dt := cs.diff(d)
-			if !dt.ok {
+			var dt core.Touch
+			if !cs.rb.Diff(d, &dt) {
 				e.suspect = true
 				return nil
 			}
-			for _, j := range dt.levels {
+			for _, j := range dt.Levels {
 				if cs.levelOwner[j] != gi {
 					e.suspect = true
 					return nil
 				}
 			}
-			for _, di := range dt.devices {
+			for _, di := range dt.Devices {
 				if cs.specOwner[di] != gi {
 					e.suspect = true
 					return nil
 				}
 			}
-			e.frags = make([]levelFrag, len(g.levels))
+			fl, _ := fleets.Get().(*core.CaptureFleet)
+			if fl == nil {
+				if fl, err = cs.rb.NewFleet(); err != nil {
+					return err
+				}
+			}
+			defer fleets.Put(fl)
+			e.frags = make([]core.LevelFrag, len(g.levels))
 			for li, j := range g.levels {
-				f, err := cs.fragment(d.Levels[j])
+				f, err := cs.rb.Fragment(d.Levels[j], fl, nil)
 				if err != nil {
 					e.suspect = true
 					return nil
@@ -649,11 +382,12 @@ func (cs *compiledSpace) extractGroups(workers int) error {
 	return nil
 }
 
-// fill resolves candidate `choice` into Cols row `row`: fragment/spec
-// lookup, then the demand, check and outlay folds in exactly Build's
-// order. Returns true when the candidate must take the legacy slow path
-// (the row is marked invalid and untouched otherwise). Allocation-free.
-func (cs *compiledSpace) fill(fs *fillScratch, cols *core.Cols, row int, choice []int) bool {
+// fill resolves candidate `choice` into Cols row `row`: each group's
+// joint-option entry supplies the fragments and specs of the slots it
+// owns, and the row builder folds them in exactly Build's order. Returns
+// true when the candidate must take the legacy slow path (the row is
+// then marked invalid). Allocation-free.
+func (cs *compiledSpace) fill(rs *core.RowScratch, cols *core.Cols, row int, choice []int) bool {
 	for k, o := range choice {
 		if cs.knobSuspect[k][o] {
 			cols.Valid[row] = false
@@ -671,163 +405,14 @@ func (cs *compiledSpace) fill(fs *fillScratch, cols *core.Cols, row int, choice 
 			cols.Valid[row] = false
 			return true
 		}
-		fs.entry[gi] = e
-	}
-	for j := 0; j < cs.nLevels; j++ {
-		if gi := cs.levelOwner[j]; gi >= 0 {
-			fs.frags[j] = &fs.entry[gi].frags[cs.levelSlot[j]]
-		} else {
-			fs.frags[j] = &cs.baseFrags[j]
+		for li, j := range g.levels {
+			rs.Frags[j] = &e.frags[li]
+		}
+		for si, di := range g.devices {
+			rs.Specs[di] = &e.specs[si]
 		}
 	}
-	// Duplicate level names fail Chain.Validate in Build; the slow path
-	// reproduces that build error (scored +Inf).
-	for a := 0; a < cs.nLevels; a++ {
-		for b := a + 1; b < cs.nLevels; b++ {
-			if fs.frags[a].nameID == fs.frags[b].nameID {
-				cols.Valid[row] = false
-				return true
-			}
-		}
-	}
-	for di := 0; di < cs.nDevices; di++ {
-		if gi := cs.specOwner[di]; gi >= 0 {
-			fs.specs[di] = &fs.entry[gi].specs[cs.specSlot[di]]
-		} else {
-			fs.specs[di] = &cs.baseSpecs[di]
-		}
-		fs.totBW[di] = 0
-		fs.totCap[di] = 0
-		fs.rowCount[di] = 0
-	}
-
-	// Demand fold: primary first, then levels in order — the same
-	// per-device registration order Build produces, so the float sums
-	// and the outlay row order are bit-identical.
-	if !cs.foldDemands(fs, cs.primaryDemands) {
-		cols.Valid[row] = false
-		return true
-	}
-	for j := 0; j < cs.nLevels; j++ {
-		if !cs.foldDemands(fs, fs.frags[j].demands) {
-			cols.Valid[row] = false
-			return true
-		}
-	}
-
-	// Check + outlay fold, in device order. Check failures make the
-	// candidate invalid in Build; the slow path reproduces the error.
-	lvlBase := row * cs.nLevels
-	devBase := row * cs.nDevices
-	var total units.Money
-	var covered units.Money
-	for di := 0; di < cs.nDevices; di++ {
-		sp := fs.specs[di]
-		maxBW := sp.MaxBandwidth()
-		if fs.totCap[di] > 0 {
-			maxCap := sp.MaxCapacity()
-			if maxCap <= 0 || float64(sp.RawCapacityFor(fs.totCap[di])/maxCap) > 1 {
-				cols.Valid[row] = false
-				return true
-			}
-		}
-		if fs.totBW[di] > 0 {
-			if maxBW <= 0 || float64(fs.totBW[di]/maxBW) > 1 {
-				cols.Valid[row] = false
-				return true
-			}
-		}
-		cols.DevMaxBW[devBase+di] = maxBW
-		avail := maxBW - fs.totBW[di]
-		if avail < 0 {
-			avail = 0
-		}
-		cols.DevAvail[devBase+di] = avail
-
-		rows := fs.rowCount[di]
-		base := di * cs.maxRows
-		spare := sp.HasSpare()
-		for x := 0; x < rows; x++ {
-			b := fs.rowBase[base+x]
-			item := b
-			if spare {
-				item = b + units.Money(sp.Spare.Discount)*b
-			}
-			total += item
-			if cs.covered[di] {
-				covered += b
-			}
-		}
-	}
-	if cs.retainer && covered > 0 {
-		total += units.Money(cs.costFactor) * covered
-	}
-	cols.OutlaysTotal[row] = total
-
-	for j := 0; j < cs.nLevels; j++ {
-		f := fs.frags[j]
-		cols.LvlLag[lvlBase+j] = f.lag
-		cols.LvlAccW[lvlBase+j] = f.accW
-		cols.LvlRetSpan[lvlBase+j] = f.retSpan
-		cols.LvlRestore[lvlBase+j] = f.restore
-		cols.LvlCopy[lvlBase+j] = f.copyIdx
-		cols.LvlRead[lvlBase+j] = f.readIdx
-		cols.LvlTransport[lvlBase+j] = f.transportIdx
-	}
-	cols.Valid[row] = true
-	cols.Err[row] = nil
-	return false
-}
-
-// foldDemands accumulates one technique's demand records into the
-// bandwidth/capacity totals and the per-device outlay rows, replicating
-// device.Device.Outlays: the first technique on a device carries the
-// fixed cost (and an interconnect's provisioned-bandwidth cost), every
-// demand adds its marginal annual cost. Returns false if a device
-// accumulates more distinct technique rows than the scratch holds
-// (possible only for techniques attributing demands to foreign names).
-func (cs *compiledSpace) foldDemands(fs *fillScratch, recs []demandRec) bool {
-	for i := range recs {
-		r := &recs[i]
-		di := int(r.dev)
-		fs.totBW[di] += r.bw
-		fs.totCap[di] += r.cap
-
-		sp := fs.specs[di]
-		interconnect := sp.Kind == device.KindInterconnect
-		base := di * cs.maxRows
-		n := fs.rowCount[di]
-		ri := -1
-		for x := 0; x < n; x++ {
-			if fs.rowTech[base+x] == r.tech {
-				ri = x
-				break
-			}
-		}
-		if ri < 0 {
-			if n == cs.maxRows {
-				return false
-			}
-			ri = n
-			fs.rowCount[di] = n + 1
-			fs.rowTech[base+ri] = r.tech
-			var first units.Money
-			if ri == 0 {
-				first = sp.Cost.Fixed
-				if interconnect {
-					first += units.Money(sp.Cost.PerMBPerSec * sp.MaxBandwidth().MBPS())
-				}
-			}
-			fs.rowBase[base+ri] = first
-		}
-		raw := sp.RawCapacityFor(r.cap)
-		bw := r.bw
-		if interconnect {
-			bw = 0 // already charged at provisioned capacity
-		}
-		fs.rowBase[base+ri] += sp.Cost.Annual(raw, bw, r.ship) - sp.Cost.Fixed
-	}
-	return true
+	return !cs.rb.Fill(rs, cols, row)
 }
 
 // verify evaluates a spread of candidate indices through both the
@@ -846,7 +431,7 @@ func (cs *compiledSpace) verify() error {
 	}
 	cols := cs.kern.NewCols(1)
 	var bs core.BatchScratch
-	fs := newFillScratch(cs)
+	rs := cs.rb.NewScratch()
 	choice := make([]int, len(cs.knobs))
 	var ev whatif.Evaluator
 	var res whatif.Result
@@ -856,7 +441,7 @@ func (cs *compiledSpace) verify() error {
 			idx = p * (space - 1) / (probes - 1)
 		}
 		decodeChoice(choice, cs.knobs, idx)
-		slow := cs.fill(fs, cols, 0, choice)
+		slow := cs.fill(rs, cols, 0, choice)
 		d, err := Clone(cs.base)
 		if err != nil {
 			return err
@@ -902,12 +487,10 @@ type batchAcc struct {
 	choice    []int
 	cols      *core.Cols
 	bscratch  core.BatchScratch
-	fs        *fillScratch
+	rs        *core.RowScratch
 	slow      []bool
 	ps        *pruneScratch // non-nil only when pruning
-	scratch   *core.Design  // slow-path reuse when all knobs are revertible
-	eval      whatif.Evaluator
-	res       whatif.Result
+	candidate               // slow-path scoring
 }
 
 // searchTally is the candidate accounting of one compiled search:
@@ -951,7 +534,7 @@ func (cs *compiledSpace) search(lo, hi, batch int, objective Objective, opts Exh
 			bestIdx:   -1,
 			choice:    make([]int, len(cs.knobs)),
 			cols:      cs.kern.NewCols(batch),
-			fs:        newFillScratch(cs),
+			rs:        cs.rb.NewScratch(),
 			slow:      make([]bool, batch),
 		}
 		if pr != nil {
@@ -962,7 +545,7 @@ func (cs *compiledSpace) search(lo, hi, batch int, objective Objective, opts Exh
 	fillAndAssess := func(a *batchAcc, blo, m int) {
 		for r := 0; r < m; r++ {
 			decodeChoice(a.choice, cs.knobs, blo+r)
-			a.slow[r] = cs.fill(a.fs, a.cols, r, a.choice)
+			a.slow[r] = cs.fill(a.rs, a.cols, r, a.choice)
 		}
 		cs.kern.AssessBatch(m, a.cols, &a.bscratch)
 	}
@@ -997,55 +580,18 @@ func (cs *compiledSpace) search(lo, hi, batch int, objective Objective, opts Exh
 		}
 		for r := 0; r < m; r++ {
 			global := blo + r
-			var s units.Money
 			if a.slow[r] {
 				decodeChoice(a.choice, cs.knobs, global)
-				d := a.scratch
-				if d == nil {
-					fresh, err := Clone(cs.base)
-					if err != nil {
-						return a, err
-					}
-					d = fresh
-					if reuse {
-						a.scratch = fresh
-					}
+				if err := a.evaluate(cs.base, cs.knobs, cs.scs, a.choice, reuse); err != nil {
+					return a, err
 				}
-				if profilingEnabled() {
-					var applyErr error
-					doPhase(labelsBuild, func() { applyErr = applyChoiceTo(d, cs.knobs, a.choice) })
-					if applyErr != nil {
-						return a, applyErr
-					}
-					doPhase(labelsAssess, func() { a.eval.EvaluateInto(d, cs.scs, &a.res) })
-				} else {
-					if err := applyChoiceTo(d, cs.knobs, a.choice); err != nil {
-						return a, err
-					}
-					a.eval.EvaluateInto(d, cs.scs, &a.res)
-				}
-				s = objective(a.res)
 			} else {
 				// Knobs that could rename the design are unrepresentable,
 				// so fast-path candidates keep the base name — exactly
 				// what the legacy evaluator would record.
-				a.res.Design = cs.base.Name
-				a.res.Err = nil
-				a.res.Outlays = a.cols.OutlaysTotal[r]
-				a.res.Outcomes = a.res.Outcomes[:0]
-				for si := 0; si < ns; si++ {
-					b := a.bscratch.Briefs[r*ns+si]
-					a.res.Outcomes = append(a.res.Outcomes, whatif.Outcome{
-						Scenario:     cs.scs[si],
-						RecoveryTime: b.RecoveryTime,
-						DataLoss:     b.DataLoss,
-						Penalties:    b.Penalties,
-						Total:        b.Total,
-						Lost:         b.WholeObjectLost,
-					})
-				}
-				s = objective(a.res)
+				a.res.SetBriefs(cs.base.Name, a.cols.OutlaysTotal[r], cs.scs, a.bscratch.Briefs[r*ns:(r+1)*ns])
 			}
+			s := objective(a.res)
 			a.evals++
 			if s < a.bestScore {
 				a.bestScore = s

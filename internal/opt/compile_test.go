@@ -5,10 +5,13 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+	"time"
 
 	"stordep/internal/casestudy"
 	"stordep/internal/core"
+	"stordep/internal/device"
 	"stordep/internal/hierarchy"
+	"stordep/internal/protect"
 	"stordep/internal/units"
 	"stordep/internal/whatif"
 )
@@ -95,7 +98,7 @@ func TestCompiledSpaceMatchesLegacyPerCandidate(t *testing.T) {
 	objective := WorstTotalObjective()
 	cols := cs.kern.NewCols(1)
 	var bs core.BatchScratch
-	fs := newFillScratch(cs)
+	rs := cs.rb.NewScratch()
 	choice := make([]int, len(knobs))
 	var res whatif.Result
 	fast := 0
@@ -105,7 +108,7 @@ func TestCompiledSpaceMatchesLegacyPerCandidate(t *testing.T) {
 		if err != nil {
 			t.Fatalf("candidate %d: %v", idx, err)
 		}
-		if cs.fill(fs, cols, 0, choice) {
+		if cs.fill(rs, cols, 0, choice) {
 			continue // slow path delegates to the legacy code: exact by construction
 		}
 		fast++
@@ -357,5 +360,82 @@ func TestExhaustiveBatchedAllocBudget(t *testing.T) {
 	if perCandidate > 2 {
 		t.Errorf("batched search allocates %.2f objects per candidate (%.0f over %d), budget 2",
 			perCandidate, allocs, space)
+	}
+}
+
+// TestDeltaAssessorRejectsOutsideProtocol: changes the cached tables
+// cannot carry — renames, moved hardware, spare, facility and workload
+// edits, shape changes, multi-sited reconfiguration, invalid policies,
+// unknown transports, over-capacity retention — must be refused by both
+// callers of the shared row builder: AssessDelta returns ok=false, and a
+// compiled space sends the candidate choosing the change to the slow
+// path, so the legacy evaluator reproduces the exact outcome or error.
+func TestDeltaAssessorRejectsOutsideProtocol(t *testing.T) {
+	base := casestudy.Baseline()
+	scs := scenarios()
+	da, err := core.NewDeltaAssessor(base, scs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tapeLibrary := func(d *core.Design) *device.Spec {
+		for i := range d.Devices {
+			if d.Devices[i].Spec.Name == device.NameTapeLibrary {
+				return &d.Devices[i].Spec
+			}
+		}
+		t.Fatal("no tape library")
+		return nil
+	}
+	cases := map[string]func(d *core.Design){
+		"renamed":        func(d *core.Design) { d.Name = "other" },
+		"moved-device":   func(d *core.Design) { d.Devices[0].Placement.Site = "elsewhere" },
+		"spare":          func(d *core.Design) { tapeLibrary(d).Spare.ProvisionTime += time.Hour },
+		"facility":       func(d *core.Design) { d.Facility.CostFactor = 0.5 },
+		"workload":       func(d *core.Design) { d.Workload.DataCap *= 2 },
+		"dropped-level":  func(d *core.Design) { d.Levels = d.Levels[:2] },
+		"invalid-policy": func(d *core.Design) { d.Levels[2].(*protect.Vaulting).Pol.RetCnt = 0 },
+		"renamed-spec":   func(d *core.Design) { d.Devices[0].Spec.Name = "imposter" },
+		"overloaded":     func(d *core.Design) { tapeLibrary(d).MaxCapSlots = 1 },
+		"unknown-transport": func(d *core.Design) {
+			d.Levels[2].(*protect.Vaulting).Transport = "nowhere"
+		},
+		"multi-sited": func(d *core.Design) {
+			d.Levels[0] = &protect.ErasureCode{
+				Fragments: 2,
+				Threshold: 1,
+				Sites:     []string{device.NameDiskArray, device.NameTapeLibrary},
+				Links:     device.NameAirShipment,
+				Pol:       casestudy.SplitMirrorPolicy(),
+			}
+		},
+	}
+	for name, mutate := range cases {
+		d, err := Clone(base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mutate(d)
+		if _, _, ok := da.AssessDelta(d); ok {
+			t.Errorf("%s: AssessDelta accepted a change outside the delta protocol", name)
+		}
+
+		knob := Knob{
+			Name:    name,
+			Options: []string{"base", name},
+			Apply: func(d *core.Design, i int) error {
+				if i == 1 {
+					mutate(d)
+				}
+				return nil
+			},
+		}
+		cs, err := compileSpace(base, []Knob{knob}, scs, 1)
+		if err != nil {
+			t.Errorf("%s: compileSpace: %v", name, err)
+			continue
+		}
+		if !cs.fill(cs.rb.NewScratch(), cs.kern.NewCols(1), 0, []int{1}) {
+			t.Errorf("%s: compiled space carries a change outside the row protocol", name)
+		}
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"stordep/internal/failure"
 	"stordep/internal/parallel"
 	"stordep/internal/units"
-	"stordep/internal/whatif"
 )
 
 // ErrSpaceTooLarge is returned when the knob product exceeds the caller's
@@ -205,16 +204,13 @@ func allRevertible(knobs []Knob) bool {
 
 // exhAcc is one worker's streaming-argmin state: the best (score, global
 // index) seen so far plus the reusable per-worker machinery — the choice
-// decode buffer, the optional scratch design, and the allocation-lean
-// evaluator with its Result buffer.
+// decode buffer and the legacy scoring path.
 type exhAcc struct {
 	bestScore units.Money
 	bestIdx   int // global candidate index; -1 = none yet
 	evals     int
 	choice    []int
-	scratch   *core.Design // reused across candidates when all knobs are revertible
-	eval      whatif.Evaluator
-	res       whatif.Result
+	candidate
 }
 
 // Exhaustive evaluates every knob combination on all CPUs and returns
@@ -342,32 +338,8 @@ func exhaustiveFold(base *core.Design, knobs []Knob, scenarios []failure.Scenari
 	fold := func(a *exhAcc, i int) (*exhAcc, error) {
 		global := lo + i
 		decodeChoice(a.choice, knobs, global)
-		d := a.scratch
-		if d == nil {
-			fresh, err := Clone(base)
-			if err != nil {
-				return a, err
-			}
-			d = fresh
-			if reuse {
-				a.scratch = fresh
-			}
-		}
-		// The profiled and unprofiled paths are spelled out separately so
-		// the common (disabled) case pays neither closure allocations nor
-		// a pprof.Do call per candidate.
-		if profilingEnabled() {
-			var applyErr error
-			doPhase(labelsBuild, func() { applyErr = applyChoiceTo(d, knobs, a.choice) })
-			if applyErr != nil {
-				return a, applyErr
-			}
-			doPhase(labelsAssess, func() { a.eval.EvaluateInto(d, scenarios, &a.res) })
-		} else {
-			if err := applyChoiceTo(d, knobs, a.choice); err != nil {
-				return a, err
-			}
-			a.eval.EvaluateInto(d, scenarios, &a.res)
+		if err := a.evaluate(base, knobs, scenarios, a.choice, reuse); err != nil {
+			return a, err
 		}
 		s := objective(a.res)
 		a.evals++

@@ -203,13 +203,11 @@ type frontAcc struct {
 	pruned int
 	bounds int
 
-	choice  []int
-	scratch *core.Design
-	eval    whatif.Evaluator
-	res     whatif.Result
+	choice []int
+	candidate
 
 	cols     *core.Cols
-	fs       *fillScratch
+	rs       *core.RowScratch
 	slow     []bool
 	bscratch core.BatchScratch
 	ps       *pruneScratch
@@ -296,7 +294,7 @@ func (cs *compiledSpace) frontier(lo, hi, batch, workers int, reuse bool, pr *pr
 		a := &frontAcc{
 			choice: make([]int, len(cs.knobs)),
 			cols:   cs.kern.NewCols(batch),
-			fs:     newFillScratch(cs),
+			rs:     cs.rb.NewScratch(),
 			slow:   make([]bool, batch),
 		}
 		if pr != nil {
@@ -307,7 +305,7 @@ func (cs *compiledSpace) frontier(lo, hi, batch, workers int, reuse bool, pr *pr
 	fillAndAssess := func(a *frontAcc, blo, m int) {
 		for r := 0; r < m; r++ {
 			decodeChoice(a.choice, cs.knobs, blo+r)
-			a.slow[r] = cs.fill(a.fs, a.cols, r, a.choice)
+			a.slow[r] = cs.fill(a.rs, a.cols, r, a.choice)
 		}
 		cs.kern.AssessBatch(m, a.cols, &a.bscratch)
 	}
@@ -347,37 +345,11 @@ func (cs *compiledSpace) frontier(lo, hi, batch, workers int, reuse bool, pr *pr
 			global := blo + r
 			if a.slow[r] {
 				decodeChoice(a.choice, cs.knobs, global)
-				d := a.scratch
-				if d == nil {
-					fresh, err := Clone(cs.base)
-					if err != nil {
-						return a, err
-					}
-					d = fresh
-					if reuse {
-						a.scratch = fresh
-					}
-				}
-				if err := applyChoiceTo(d, cs.knobs, a.choice); err != nil {
+				if err := a.evaluate(cs.base, cs.knobs, cs.scs, a.choice, reuse); err != nil {
 					return a, err
 				}
-				a.eval.EvaluateInto(d, cs.scs, &a.res)
 			} else {
-				a.res.Design = cs.base.Name
-				a.res.Err = nil
-				a.res.Outlays = a.cols.OutlaysTotal[r]
-				a.res.Outcomes = a.res.Outcomes[:0]
-				for si := 0; si < ns; si++ {
-					b := a.bscratch.Briefs[r*ns+si]
-					a.res.Outcomes = append(a.res.Outcomes, whatif.Outcome{
-						Scenario:     cs.scs[si],
-						RecoveryTime: b.RecoveryTime,
-						DataLoss:     b.DataLoss,
-						Penalties:    b.Penalties,
-						Total:        b.Total,
-						Lost:         b.WholeObjectLost,
-					})
-				}
+				a.res.SetBriefs(cs.base.Name, a.cols.OutlaysTotal[r], cs.scs, a.bscratch.Briefs[r*ns:(r+1)*ns])
 			}
 			a.set.addResult(global, &a.res)
 			a.evals++
@@ -414,21 +386,9 @@ func frontierFold(base *core.Design, knobs []Knob, scenarios []failure.Scenario,
 	fold := func(a *frontAcc, i int) (*frontAcc, error) {
 		global := lo + i
 		decodeChoice(a.choice, knobs, global)
-		d := a.scratch
-		if d == nil {
-			fresh, err := Clone(base)
-			if err != nil {
-				return a, err
-			}
-			d = fresh
-			if reuse {
-				a.scratch = fresh
-			}
-		}
-		if err := applyChoiceTo(d, knobs, a.choice); err != nil {
+		if err := a.evaluate(base, knobs, scenarios, a.choice, reuse); err != nil {
 			return a, err
 		}
-		a.eval.EvaluateInto(d, scenarios, &a.res)
 		a.set.addResult(global, &a.res)
 		a.evals++
 		return a, nil

@@ -215,6 +215,57 @@ func applyChoiceTo(d *core.Design, knobs []Knob, choice []int) error {
 	return nil
 }
 
+// candidate is one worker's legacy clone+build scoring machinery, shared
+// by every fold that evaluates candidates one at a time: the optional
+// scratch design plus the allocation-lean evaluator with its Result
+// buffer.
+type candidate struct {
+	scratch *core.Design // reused across candidates when all knobs are revertible
+	eval    whatif.Evaluator
+	res     whatif.Result
+}
+
+// build returns base with choice applied: the scratch design re-applied
+// in place, or a fresh clone (kept as the scratch when reuse holds).
+// With phase profiling on, the knob application runs under phase=build.
+func (c *candidate) build(base *core.Design, knobs []Knob, choice []int, reuse bool) (*core.Design, error) {
+	d := c.scratch
+	if d == nil {
+		fresh, err := Clone(base)
+		if err != nil {
+			return nil, err
+		}
+		d = fresh
+		if reuse {
+			c.scratch = fresh
+		}
+	}
+	// The profiled and unprofiled paths are spelled out separately so the
+	// common (disabled) case pays neither closure allocations nor a
+	// pprof.Do call per candidate.
+	if profilingEnabled() {
+		var err error
+		doPhase(labelsBuild, func() { err = applyChoiceTo(d, knobs, choice) })
+		return d, err
+	}
+	return d, applyChoiceTo(d, knobs, choice)
+}
+
+// evaluate builds the candidate and evaluates it into c.res, under
+// phase=assess when profiling.
+func (c *candidate) evaluate(base *core.Design, knobs []Knob, scenarios []failure.Scenario, choice []int, reuse bool) error {
+	d, err := c.build(base, knobs, choice, reuse)
+	if err != nil {
+		return err
+	}
+	if profilingEnabled() {
+		doPhase(labelsAssess, func() { c.eval.EvaluateInto(d, scenarios, &c.res) })
+	} else {
+		c.eval.EvaluateInto(d, scenarios, &c.res)
+	}
+	return nil
+}
+
 // scoreCandidate is the shared scoring path of Tune and Exhaustive:
 // build the choice vector's candidate and score its evaluation directly
 // via whatif.EvaluateOne — no per-candidate slice wrapping, no repeated
@@ -241,16 +292,6 @@ func choiceKey(choice []int) string {
 // TuneWorkers.
 func Tune(base *core.Design, knobs []Knob, scenarios []failure.Scenario, objective Objective) (*Solution, error) {
 	return TuneWorkers(base, knobs, scenarios, objective, 0)
-}
-
-// tuneAcc is one worker's reusable scoring machinery for TuneWorkers:
-// the optional Revertible scratch design plus the allocation-lean
-// evaluator with its Result buffer. Accs are pooled across sweeps so
-// the scratch lives for the whole descent, not one chunk of one sweep.
-type tuneAcc struct {
-	scratch *core.Design
-	eval    whatif.Evaluator
-	res     whatif.Result
 }
 
 // TuneWorkers runs coordinate descent from the base design: each pass
@@ -281,8 +322,8 @@ func TuneWorkers(base *core.Design, knobs []Knob, scenarios []failure.Scenario, 
 	// accs out, its merge returns them, and the next sweep reuses their
 	// scratch designs and Result buffers instead of re-cloning.
 	var poolMu sync.Mutex
-	var pool []*tuneAcc
-	checkout := func() *tuneAcc {
+	var pool []*candidate
+	checkout := func() *candidate {
 		poolMu.Lock()
 		defer poolMu.Unlock()
 		if n := len(pool); n > 0 {
@@ -290,9 +331,9 @@ func TuneWorkers(base *core.Design, knobs []Knob, scenarios []failure.Scenario, 
 			pool = pool[:n-1]
 			return a
 		}
-		return &tuneAcc{}
+		return &candidate{}
 	}
-	checkin := func(a *tuneAcc) {
+	checkin := func(a *candidate) {
 		poolMu.Lock()
 		pool = append(pool, a)
 		poolMu.Unlock()
@@ -306,12 +347,10 @@ func TuneWorkers(base *core.Design, knobs []Knob, scenarios []failure.Scenario, 
 	// Build-and-assess path. Scores are bit-identical either way, so
 	// Solutions (Score, Choices, Evaluations, MemoHits) do not change.
 	var (
-		delta        *core.DeltaAssessor
-		deltaScratch *core.Design
-		deltaRes     whatif.Result
-		deltaProbe   tuneAcc
-		deltaProbes  int
-		deltaState   int // 0 = untried, 1 = active, 2 = disabled
+		delta       *core.DeltaAssessor
+		deltaCand   candidate
+		deltaProbes int
+		deltaState  int // 0 = untried, 1 = active, 2 = disabled
 	)
 
 	// scoreBatch scores choice vectors in input order: memo hits are
@@ -346,18 +385,8 @@ func TuneWorkers(base *core.Design, knobs []Knob, scenarios []failure.Scenario, 
 					legacy = append(legacy, j)
 					continue
 				}
-				d := deltaScratch
-				if d == nil {
-					fresh, err := Clone(base)
-					if err != nil {
-						return nil, err
-					}
-					d = fresh
-					if reuse {
-						deltaScratch = fresh
-					}
-				}
-				if err := applyChoiceTo(d, knobs, trials[mi]); err != nil {
+				d, err := deltaCand.build(base, knobs, trials[mi], reuse)
+				if err != nil {
 					return nil, err
 				}
 				out, briefs, ok := delta.AssessDelta(d)
@@ -365,25 +394,12 @@ func TuneWorkers(base *core.Design, knobs []Knob, scenarios []failure.Scenario, 
 					legacy = append(legacy, j)
 					continue
 				}
-				deltaRes.Design = base.Name
-				deltaRes.Outlays = out
-				deltaRes.Err = nil
-				deltaRes.Outcomes = deltaRes.Outcomes[:0]
-				for si, b := range briefs {
-					deltaRes.Outcomes = append(deltaRes.Outcomes, whatif.Outcome{
-						Scenario:     scenarios[si],
-						RecoveryTime: b.RecoveryTime,
-						DataLoss:     b.DataLoss,
-						Penalties:    b.Penalties,
-						Total:        b.Total,
-						Lost:         b.WholeObjectLost,
-					})
-				}
-				s := objective(deltaRes)
+				deltaCand.res.SetBriefs(base.Name, out, scenarios, briefs)
+				s := objective(deltaCand.res)
 				if deltaProbes < tuneDeltaProbes {
 					deltaProbes++
-					deltaProbe.eval.EvaluateInto(d, scenarios, &deltaProbe.res)
-					if want := objective(deltaProbe.res); want != s {
+					deltaCand.eval.EvaluateInto(d, scenarios, &deltaCand.res)
+					if want := objective(deltaCand.res); want != s {
 						deltaState = 2
 						s = want
 					}
@@ -396,27 +412,15 @@ func TuneWorkers(base *core.Design, knobs []Knob, scenarios []failure.Scenario, 
 			}
 		}
 		if len(legacy) > 0 {
-			fold := func(a *tuneAcc, i int) (*tuneAcc, error) {
+			fold := func(a *candidate, i int) (*candidate, error) {
 				j := legacy[i]
-				d := a.scratch
-				if d == nil {
-					fresh, err := Clone(base)
-					if err != nil {
-						return a, err
-					}
-					d = fresh
-					if reuse {
-						a.scratch = fresh
-					}
-				}
-				if err := applyChoiceTo(d, knobs, trials[misses[j]]); err != nil {
+				if err := a.evaluate(base, knobs, scenarios, trials[misses[j]], reuse); err != nil {
 					return a, err
 				}
-				a.eval.EvaluateInto(d, scenarios, &a.res)
 				missScores[j] = objective(a.res)
 				return a, nil
 			}
-			merge := func(a, b *tuneAcc) *tuneAcc {
+			merge := func(a, b *candidate) *candidate {
 				checkin(b)
 				return a
 			}

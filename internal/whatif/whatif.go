@@ -192,14 +192,32 @@ func (e *Evaluator) EvaluateInto(d *core.Design, scenarios []failure.Scenario, r
 			res.Err = fmt.Errorf("whatif: scenario %s: %w", sc.DisplayName(), err)
 			return
 		}
-		res.Outcomes = append(res.Outcomes, Outcome{
-			Scenario:     sc,
-			RecoveryTime: b.RecoveryTime,
-			DataLoss:     b.DataLoss,
-			Penalties:    b.Penalties,
-			Total:        b.Total,
-			Lost:         b.WholeObjectLost,
-		})
+		res.Outcomes = append(res.Outcomes, outcomeOf(sc, b))
+	}
+}
+
+// SetBriefs fills r with a candidate assessed without a Build — an
+// outlay total and one Brief per scenario from core's batch kernel or
+// DeltaAssessor — recording exactly what EvaluateInto records for the
+// same numbers, and reusing r's Outcomes capacity.
+func (r *Result) SetBriefs(design string, outlays units.Money, scenarios []failure.Scenario, briefs []core.Brief) {
+	r.Design = design
+	r.Err = nil
+	r.Outlays = outlays
+	r.Outcomes = r.Outcomes[:0]
+	for si, b := range briefs {
+		r.Outcomes = append(r.Outcomes, outcomeOf(scenarios[si], b))
+	}
+}
+
+func outcomeOf(sc failure.Scenario, b core.Brief) Outcome {
+	return Outcome{
+		Scenario:     sc,
+		RecoveryTime: b.RecoveryTime,
+		DataLoss:     b.DataLoss,
+		Penalties:    b.Penalties,
+		Total:        b.Total,
+		Lost:         b.WholeObjectLost,
 	}
 }
 
