@@ -8,10 +8,11 @@ import (
 
 // trialAllocBudget bounds the per-trial allocation count on the hot
 // path (sample schedules, replay the simulator, check bounds, assess
-// penalties). Measured ~11.6k for Baseline; the budget carries headroom
-// for schedule variance while still catching a gross regression such as
-// a per-event encode or an uncached analytic assessment.
-const trialAllocBudget = 20000
+// penalties). Measured ~177 for Baseline; the budget, about twice that,
+// carries headroom for schedule variance while still catching a
+// regression such as per-event boxing in the simulator, a per-event
+// encode or an uncached analytic assessment.
+const trialAllocBudget = 360
 
 func TestTrialAllocBudget(t *testing.T) {
 	if testing.Short() {

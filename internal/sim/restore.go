@@ -43,37 +43,17 @@ func (p RestorePlan) Volume(w *workload.Workload) units.ByteSize {
 // Plan resolves the restore plan for a failure at failAt with the given
 // surviving levels and target age, mirroring Loss's serving-RP choice.
 func (s *Simulator) Plan(surviving []int, failAt, targetAge time.Duration) (RestorePlan, bool) {
-	if s.ran == 0 || failAt > s.ran {
+	level, idx := s.serve(surviving, failAt, targetAge)
+	if level == 0 {
 		return RestorePlan{}, false
 	}
-	target := failAt - targetAge
-	if target < 0 {
-		return RestorePlan{}, false
+	rps := s.levels[level-1]
+	p := RestorePlan{Serving: rps[idx], Level: level, Incremental: rps[idx].Secondary, FullCut: rps[idx].Cut}
+	if p.Incremental {
+		// serving guaranteed the base full exists and covers failAt.
+		p.FullCut = rps[s.index[level-1].base[idx]].Cut
 	}
-	var best RestorePlan
-	found := false
-	for _, j := range surviving {
-		if j < 1 || j > len(s.chain) {
-			continue
-		}
-		for _, rp := range s.levels[j-1] {
-			if s.usableAt(j, rp, failAt) && rp.Cut <= target && (!found || rp.Cut > best.Serving.Cut) {
-				best = RestorePlan{Serving: rp, Level: j}
-				found = true
-			}
-		}
-	}
-	if !found {
-		return RestorePlan{}, false
-	}
-	best.Incremental = best.Serving.Secondary
-	best.FullCut = best.Serving.Cut
-	if best.Incremental {
-		// usableAt guaranteed the base full exists and covers failAt.
-		base, _ := s.baseFull(best.Level, best.Serving)
-		best.FullCut = base.Cut
-	}
-	return best, true
+	return p, true
 }
 
 // RTStats summarizes restore volumes (and times at a fixed effective

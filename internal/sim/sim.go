@@ -13,9 +13,10 @@
 package sim
 
 import (
-	"container/heap"
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"stordep/internal/hierarchy"
@@ -54,10 +55,10 @@ type event struct {
 	seq int64
 }
 
-// eventQueue is a min-heap on (at, seq).
+// eventQueue is a min-heap on (at, level, seq). The order is total, so
+// the pop sequence does not depend on the heap's internal layout.
 type eventQueue []event
 
-func (q eventQueue) Len() int { return len(q) }
 func (q eventQueue) Less(i, j int) bool {
 	if q[i].at != q[j].at {
 		return q[i].at < q[j].at
@@ -70,9 +71,43 @@ func (q eventQueue) Less(i, j int) bool {
 	}
 	return q[i].seq < q[j].seq
 }
-func (q eventQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *eventQueue) Push(x any)   { *q = append(*q, x.(event)) }
-func (q *eventQueue) Pop() any     { old := *q; n := len(old); e := old[n-1]; *q = old[:n-1]; return e }
+
+func (q *eventQueue) push(e event) {
+	*q = append(*q, e)
+	h := *q
+	for i := len(h) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !h.Less(i, p) {
+			break
+		}
+		h[i], h[p] = h[p], h[i]
+		i = p
+	}
+}
+
+func (q *eventQueue) pop() event {
+	h := *q
+	top := h[0]
+	n := len(h) - 1
+	h[0] = h[n]
+	h = h[:n]
+	for i := 0; ; {
+		m := 2*i + 1
+		if m >= n {
+			break
+		}
+		if r := m + 1; r < n && h.Less(r, m) {
+			m = r
+		}
+		if !h.Less(m, i) {
+			break
+		}
+		h[i], h[m] = h[m], h[i]
+		i = m
+	}
+	*q = h
+	return top
+}
 
 // Outage suspends one level's RP propagation for a time span: windows
 // that close inside [From, To) produce no RP (the technique is out of
@@ -91,11 +126,6 @@ type Outage struct {
 	AbortInFlight bool
 }
 
-// contains reports whether the instant falls inside the outage.
-func (o Outage) contains(at time.Duration) bool {
-	return at >= o.From && at < o.To
-}
-
 // SilentFault makes one level's captures lie for a time span: windows
 // that close inside [From, To) report success and schedule normally, but
 // the RPs they produce are phantoms — present in the schedule, useless
@@ -107,15 +137,14 @@ type SilentFault struct {
 	From, To time.Duration
 }
 
-// contains reports whether the instant falls inside the fault window.
-func (f SilentFault) contains(at time.Duration) bool {
-	return at >= f.From && at < f.To
-}
-
 // Simulator replays RP propagation for a hierarchy chain.
 type Simulator struct {
-	chain   hierarchy.Chain
-	levels  [][]RP // retained and expired RPs per level, in cut order
+	chain hierarchy.Chain
+	// levels holds every RP each level produced, retained or expired, in
+	// window-close order (the order RPs and Available report).
+	levels [][]RP
+	// index is the per-level query index Run builds over levels.
+	index   []levelIndex
 	outages []Outage
 	silents []SilentFault
 	ran     time.Duration
@@ -168,15 +197,79 @@ func (s *Simulator) AddSilentFault(f SilentFault) error {
 	return nil
 }
 
-// inSilent reports whether a window closing at `at` on the level falls
-// inside a registered silent fault.
-func (s *Simulator) inSilent(level int, at time.Duration) bool {
-	for _, f := range s.silents {
-		if f.Level == level && f.contains(at) {
-			return true
+// levelCursor is Run's forward-only state for one level. Its outages and
+// silent faults are each sorted by From and walked as the clock
+// advances; started windows (From ≤ now) only matter through the latest
+// end among them.
+type levelCursor struct {
+	outages        []Outage
+	silents        []SilentFault
+	nextOut        int           // first outage not yet started
+	nextSil        int           // first silent fault not yet started
+	outEnd, silEnd time.Duration // latest To among started windows
+	// live bounds newest's scan of this level: every RP below it has
+	// expired, and stays expired because the clock only moves forward.
+	live int
+}
+
+// advance moves both cursors past the windows that have started by `at`.
+func (c *levelCursor) advance(at time.Duration) {
+	for ; c.nextOut < len(c.outages) && c.outages[c.nextOut].From <= at; c.nextOut++ {
+		c.outEnd = max(c.outEnd, c.outages[c.nextOut].To)
+	}
+	for ; c.nextSil < len(c.silents) && c.silents[c.nextSil].From <= at; c.nextSil++ {
+		c.silEnd = max(c.silEnd, c.silents[c.nextSil].To)
+	}
+}
+
+// dropped reports whether a window closing at `at` and landing at
+// `avail` produces nothing: it closes inside an outage, or its transfer
+// is in flight when an AbortInFlight outage starts. Call advance(at)
+// first.
+func (c *levelCursor) dropped(at, avail time.Duration) bool {
+	if c.outEnd > at {
+		return true // technique out of service: the window produces nothing
+	}
+	for _, o := range c.outages[c.nextOut:] {
+		if o.From >= avail {
+			break
+		}
+		if o.AbortInFlight {
+			return true // the transfer was in flight when the outage struck
 		}
 	}
 	return false
+}
+
+// cursors splits the registered outages and silent faults into per-level
+// lists sorted by From.
+func (s *Simulator) cursors() []levelCursor {
+	cur := make([]levelCursor, len(s.chain))
+	outs := slices.Clone(s.outages)
+	slices.SortFunc(outs, func(a, b Outage) int {
+		return cmp.Or(cmp.Compare(a.Level, b.Level), cmp.Compare(a.From, b.From))
+	})
+	for len(outs) > 0 {
+		n := 1
+		for n < len(outs) && outs[n].Level == outs[0].Level {
+			n++
+		}
+		cur[outs[0].Level-1].outages = outs[:n:n]
+		outs = outs[n:]
+	}
+	sils := slices.Clone(s.silents)
+	slices.SortFunc(sils, func(a, b SilentFault) int {
+		return cmp.Or(cmp.Compare(a.Level, b.Level), cmp.Compare(a.From, b.From))
+	})
+	for len(sils) > 0 {
+		n := 1
+		for n < len(sils) && sils[n].Level == sils[0].Level {
+			n++
+		}
+		cur[sils[0].Level-1].silents = sils[:n:n]
+		sils = sils[n:]
+	}
+	return cur
 }
 
 // Run simulates RP propagation from time zero (cold start: no RPs exist)
@@ -188,12 +281,23 @@ func (s *Simulator) Run(until time.Duration) error {
 	if until <= 0 {
 		return fmt.Errorf("sim: horizon must be positive, got %v", until)
 	}
-	var q eventQueue
+	// A level runs one event series per window of its cycle, and each
+	// series fires at most once per cycle.
+	series := 0
+	for j, lvl := range s.chain {
+		n := 1
+		if lvl.Policy.Secondary != nil {
+			n += lvl.Policy.CycleCnt
+		}
+		series += n
+		s.levels[j] = make([]RP, 0, (int(until/lvl.Policy.CyclePeriod())+1)*n)
+	}
+	q := make(eventQueue, 0, series)
 	var seq int64
 	push := func(e event) {
 		e.seq = seq
 		seq++
-		heap.Push(&q, e)
+		q.push(e)
 	}
 	// Seed the first cycle of every level. Primary windows fire at
 	// multiples of the cycle period; secondary (incremental) windows fire
@@ -216,16 +320,21 @@ func (s *Simulator) Run(until time.Duration) error {
 			}
 		}
 	}
-	for q.Len() > 0 {
-		e := heap.Pop(&q).(event)
+	cur := s.cursors()
+	for len(q) > 0 {
+		e := q.pop()
 		if e.at > until {
 			break
 		}
-		s.fire(e)
+		s.fire(e, cur)
 		// Reschedule one cycle later.
 		next := e
 		next.at += s.chain[e.level-1].Policy.CyclePeriod()
 		push(next)
+	}
+	s.index = make([]levelIndex, len(s.levels))
+	for j, rps := range s.levels {
+		s.index[j] = newLevelIndex(rps, s.chain[j].Policy.Secondary != nil)
 	}
 	s.ran = until
 	return nil
@@ -233,23 +342,17 @@ func (s *Simulator) Run(until time.Duration) error {
 
 // fire executes one propagation: the level snapshots the newest content
 // available below it and the RP becomes available after hold+prop.
-func (s *Simulator) fire(e event) {
-	pol := s.chain[e.level-1].Policy
+func (s *Simulator) fire(e event, cur []levelCursor) {
+	pol := &s.chain[e.level-1].Policy
 	win := pol.Primary
 	if e.secondary {
 		win = *pol.Secondary
 	}
 	avail := e.at + win.HoldW + win.PropW
-	for _, o := range s.outages {
-		if o.Level != e.level {
-			continue
-		}
-		if o.contains(e.at) {
-			return // technique out of service: the window produces nothing
-		}
-		if o.AbortInFlight && e.at < o.To && avail > o.From {
-			return // the transfer was in flight when the outage struck
-		}
+	c := &cur[e.level-1]
+	c.advance(e.at)
+	if c.dropped(e.at, avail) {
+		return
 	}
 	// What does this RP reflect? Level 1 draws from the always-current
 	// primary copy: the RP covers updates through the window close (now).
@@ -257,9 +360,9 @@ func (s *Simulator) fire(e event) {
 	// A silent fault poisons the capture without changing the schedule,
 	// and a phantom source poisons every copy taken from it.
 	cut := e.at
-	phantom := s.inSilent(e.level, e.at)
+	phantom := c.silEnd > e.at
 	if e.level > 1 {
-		below, ok := s.newest(e.level-1, e.at)
+		below, ok := s.newest(e.level-1, e.at, &cur[e.level-2].live)
 		if !ok {
 			return // nothing to propagate yet (cold start)
 		}
@@ -275,14 +378,19 @@ func (s *Simulator) fire(e event) {
 	})
 }
 
-// newest returns the freshest RP usable at `at` on the level.
-func (s *Simulator) newest(level int, at time.Duration) (RP, bool) {
+// newest returns the freshest RP usable at `at` on the level, the first
+// in window-close order among equal cuts. Window-close order is not
+// availability order for cyclic policies (a slow full can land after a
+// later fast incremental), so it scans every RP from *live on, first
+// advancing *live past the RPs that have expired by `at`.
+func (s *Simulator) newest(level int, at time.Duration, live *int) (RP, bool) {
+	rps := s.levels[level-1]
+	for *live < len(rps) && rps[*live].ExpiresAt <= at {
+		*live++
+	}
 	var best RP
 	found := false
-	// RPs are appended in window-close order, which is not availability
-	// order for cyclic policies (a slow full can land after a later fast
-	// incremental), so scan the whole list.
-	for _, rp := range s.levels[level-1] {
+	for _, rp := range rps[*live:] {
 		if rp.Covers(at) && (!found || rp.Cut > best.Cut) {
 			best, found = rp, true
 		}
@@ -307,36 +415,138 @@ func (s *Simulator) Available(level int, at time.Duration) ([]RP, error) {
 	return out, nil
 }
 
-// baseFull returns the newest full RP at the level whose cut does not
-// postdate the incremental's: the base a cumulative incremental must be
-// applied over. A cumulative incremental covers updates since the last
-// full only, so no older full can substitute.
-func (s *Simulator) baseFull(level int, incr RP) (RP, bool) {
-	var best RP
-	found := false
-	for _, rp := range s.levels[level-1] {
-		if !rp.Secondary && rp.Cut <= incr.Cut && (!found || rp.Cut > best.Cut) {
-			best, found = rp, true
-		}
-	}
-	return best, found
+// levelIndex answers restore queries on one level without scanning it.
+type levelIndex struct {
+	// order lists the level's RP indexes sorted by (Cut, window-close
+	// index); nil when the level is already in cut order.
+	order []int32
+	// maxExp[k] is the latest ExpiresAt among the first k+1 RPs in
+	// order: once it is ≤ failAt, no RP at or before k covers failAt.
+	maxExp []time.Duration
+	// base[i] is the index of RP i's base full: the newest full whose cut
+	// does not postdate RP i's, the first in window-close order among
+	// equal cuts, or -1. A cumulative incremental covers updates since
+	// the last full only, so no older full can substitute. nil on levels
+	// without incrementals.
+	base []int32
 }
 
-// usableAt reports whether the RP can actually serve a restore at failAt:
-// it must cover the instant itself, hold real data (phantoms from silent
-// faults still occupy the schedule — and still propagate, because the
-// level believes them good — but cannot serve), and, for incrementals,
-// so must its base full (an incremental that lands while its full is
-// still propagating is useless until the full arrives).
-func (s *Simulator) usableAt(level int, rp RP, failAt time.Duration) bool {
-	if rp.Phantom || !rp.Covers(failAt) {
-		return false
+// at maps a position in cut order to an RP index.
+func (ix *levelIndex) at(k int) int {
+	if ix.order == nil {
+		return k
 	}
-	if !rp.Secondary {
-		return true
+	return int(ix.order[k])
+}
+
+func newLevelIndex(rps []RP, cyclic bool) levelIndex {
+	var ix levelIndex
+	for i := 1; i < len(rps); i++ {
+		if rps[i].Cut < rps[i-1].Cut {
+			ix.order = make([]int32, len(rps))
+			for k := range ix.order {
+				ix.order[k] = int32(k)
+			}
+			slices.SortFunc(ix.order, func(a, b int32) int {
+				return cmp.Or(cmp.Compare(rps[a].Cut, rps[b].Cut), cmp.Compare(a, b))
+			})
+			break
+		}
 	}
-	base, ok := s.baseFull(level, rp)
-	return ok && !base.Phantom && base.Covers(failAt)
+	ix.maxExp = make([]time.Duration, len(rps))
+	var latest time.Duration
+	for k := range rps {
+		latest = max(latest, rps[ix.at(k)].ExpiresAt)
+		ix.maxExp[k] = latest
+	}
+	if !cyclic {
+		return ix
+	}
+	ix.base = make([]int32, len(rps))
+	base := -1
+	// Walk groups of equal cut: a full anywhere in the group is a valid
+	// base for every RP in it, including incrementals earlier in window
+	// order.
+	for k := 0; k < len(rps); {
+		cut := rps[ix.at(k)].Cut
+		end := k + 1
+		for end < len(rps) && rps[ix.at(end)].Cut == cut {
+			end++
+		}
+		for p := k; p < end; p++ {
+			if i := ix.at(p); !rps[i].Secondary && (base < 0 || rps[base].Cut < cut) {
+				base = i
+			}
+		}
+		for p := k; p < end; p++ {
+			ix.base[ix.at(p)] = int32(base)
+		}
+		k = end
+	}
+	return ix
+}
+
+// serving returns the index of the RP on the level that serves a restore
+// at failAt to the target instant — the usable RP with the newest cut not
+// after target, the first in window-close order among equal cuts — or -1.
+//
+// Usable means the RP covers failAt and holds real data (phantoms from
+// silent faults still occupy the schedule, and still propagate because
+// the level believes them good, but cannot serve), and, for an
+// incremental, so does its base full (an incremental that lands while
+// its full is still propagating is useless until the full arrives).
+func (s *Simulator) serving(level int, failAt, target time.Duration) int {
+	rps, ix := s.levels[level-1], &s.index[level-1]
+	// Binary search for the first position whose cut postdates target.
+	lo, hi := 0, len(rps)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if rps[ix.at(m)].Cut <= target {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	best := -1
+	for k := lo - 1; k >= 0 && ix.maxExp[k] > failAt; k-- {
+		i := ix.at(k)
+		rp := rps[i]
+		if best >= 0 && rp.Cut != rps[best].Cut {
+			break
+		}
+		if rp.Phantom || !rp.Covers(failAt) {
+			continue
+		}
+		if rp.Secondary {
+			if b := ix.base[i]; b < 0 || rps[b].Phantom || !rps[b].Covers(failAt) {
+				continue
+			}
+		}
+		best = i // walking backward, so the last hit in a cut group has the lowest index
+	}
+	return best
+}
+
+// serve resolves the serving RP across the surviving levels: the newest
+// cut wins, and the first level in surviving order among equal cuts.
+// level is 0 when no usable RP survives.
+func (s *Simulator) serve(surviving []int, failAt, targetAge time.Duration) (level, idx int) {
+	if s.ran == 0 || failAt > s.ran {
+		return 0, 0
+	}
+	target := failAt - targetAge
+	if target < 0 {
+		return 0, 0
+	}
+	for _, j := range surviving {
+		if j < 1 || j > len(s.chain) {
+			continue
+		}
+		if i := s.serving(j, failAt, target); i >= 0 && (level == 0 || s.levels[j-1][i].Cut > s.levels[level-1][idx].Cut) {
+			level, idx = j, i
+		}
+	}
+	return level, idx
 }
 
 // Loss measures the data loss a recovery would incur if a failure struck
@@ -346,29 +556,11 @@ func (s *Simulator) usableAt(level int, rp RP, failAt time.Duration) bool {
 // loss is target-cut. ok is false when no usable RP survives: the object
 // is lost.
 func (s *Simulator) Loss(surviving []int, failAt, targetAge time.Duration) (loss time.Duration, level int, ok bool) {
-	if s.ran == 0 || failAt > s.ran {
+	level, idx := s.serve(surviving, failAt, targetAge)
+	if level == 0 {
 		return 0, 0, false
 	}
-	target := failAt - targetAge
-	if target < 0 {
-		return 0, 0, false
-	}
-	bestLevel := 0
-	var bestCut time.Duration = -1
-	for _, j := range surviving {
-		if j < 1 || j > len(s.chain) {
-			continue
-		}
-		for _, rp := range s.levels[j-1] {
-			if s.usableAt(j, rp, failAt) && rp.Cut <= target && rp.Cut > bestCut {
-				bestCut, bestLevel = rp.Cut, j
-			}
-		}
-	}
-	if bestLevel == 0 {
-		return 0, 0, false
-	}
-	return target - bestCut, bestLevel, true
+	return failAt - targetAge - s.levels[level-1][idx].Cut, level, true
 }
 
 // Stats summarizes a loss study across failure instants.

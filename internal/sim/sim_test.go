@@ -463,3 +463,49 @@ func TestAbortInFlightDropsPropagation(t *testing.T) {
 		}
 	}
 }
+
+// TestRPsWindowCloseOrder pins RPs to window-close order on a level whose
+// cuts descend, so it cannot silently switch to the cut order the query
+// index uses internally (chaos instant sampling strides over RPs, and its
+// digests depend on the order).
+func TestRPsWindowCloseOrder(t *testing.T) {
+	chain := fiTwoLevelChain()
+	s, err := New(chain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, o := range []Outage{descentOutage, {Level: 2, From: 8 * units.Week, To: 9 * units.Week, AbortInFlight: true}} {
+		if err := s.AddOutage(o); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Run(30 * units.Week); err != nil {
+		t.Fatal(err)
+	}
+	descents := 0
+	for j := 1; j <= len(chain); j++ {
+		rps, err := s.RPs(j)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pol := chain[j-1].Policy
+		var prevClose time.Duration
+		for i, rp := range rps {
+			win := pol.Primary
+			if rp.Secondary {
+				win = *pol.Secondary
+			}
+			closed := rp.AvailableAt - win.HoldW - win.PropW
+			if i > 0 && closed < prevClose {
+				t.Fatalf("level %d RP %d closed at %v, before RP %d (%v)", j, i, closed, i-1, prevClose)
+			}
+			if i > 0 && rp.Cut < rps[i-1].Cut {
+				descents++
+			}
+			prevClose = closed
+		}
+	}
+	if descents == 0 {
+		t.Fatal("no cut descents: the scenario no longer tells window-close order from cut order")
+	}
+}
