@@ -282,13 +282,13 @@ type pruneScratch struct {
 // newPruner builds the bound tables for a compiled space, returning nil
 // when any admissibility precondition fails — negative penalty rates,
 // negative cost components, negative policy windows — so pruning is
-// silently disabled rather than ever risking a wrong prune. incumbent
-// (> 0) pre-seeds the shared best score with an externally achieved
-// candidate score (e.g. another shard's winner).
+// silently disabled rather than ever risking a wrong prune. floor is
+// the scalar objective floor pruneBatch compares against the incumbent;
+// a frontier sweep, which prunes by dominance against the component
+// floors, passes nil. incumbent (> 0) pre-seeds the shared best score
+// with an externally achieved candidate score (e.g. another shard's
+// winner).
 func newPruner(cs *compiledSpace, floor ObjectiveFloor, incumbent units.Money) *pruner {
-	if floor == nil {
-		return nil
-	}
 	kern := cs.kern
 	if !kern.NonNegativeRates() {
 		return nil
@@ -790,13 +790,13 @@ func (ps *pruneScratch) allowed(k, o int) bool {
 	return o >= a || o <= b
 }
 
-// bound computes the subtree objective floor for candidates [blo, bhi),
-// filling ps.fl. ok=false means no admissible bound exists for this
-// slice (a suspect option or entry is reachable); the batch must then be
+// bound computes the component floors of candidates [blo, bhi) into
+// ps.fl. false means no admissible bound exists for this slice (a
+// suspect option or entry is reachable); the batch must then be
 // assessed normally.
-func (p *pruner) bound(ps *pruneScratch, blo, bhi int) (units.Money, bool) {
+func (p *pruner) bound(ps *pruneScratch, blo, bhi int) bool {
 	if !p.computeAllowed(ps, blo, bhi) {
-		return 0, false
+		return false
 	}
 	ns, nL := p.ns, p.nLevels
 	copy(ps.serve, p.baseServe)
@@ -822,7 +822,7 @@ func (p *pruner) bound(ps *pruneScratch, blo, bhi int) (units.Money, bool) {
 				continue
 			}
 			if pg.suspect[t] {
-				return 0, false
+				return false
 			}
 			found = true
 			if pg.outlay[t] < minOut {
@@ -882,7 +882,7 @@ func (p *pruner) bound(ps *pruneScratch, blo, bhi int) (units.Money, bool) {
 			}
 		}
 		if !found {
-			return 0, false
+			return false
 		}
 		outlay += minOut
 	}
@@ -938,7 +938,7 @@ func (p *pruner) bound(ps *pruneScratch, blo, bhi int) (units.Money, bool) {
 		fl.DataLoss[si] = minAccW
 		fl.Penalties[si] = p.cs.kern.PenaltyFloor(rt, minAccW)
 	}
-	return p.floor(fl), true
+	return true
 }
 
 // pruneBatch decides whether every candidate in [blo, bhi) can be
@@ -950,50 +950,37 @@ func (p *pruner) pruneBatch(ps *pruneScratch, blo, bhi int) (computed, pruned bo
 	if math.IsInf(float64(inc), 1) {
 		return false, false
 	}
-	v, ok := p.bound(ps, blo, bhi)
-	if !ok {
+	if !p.bound(ps, blo, bhi) {
 		return false, false
 	}
-	return true, float64(v)*(1-boundSlack) > float64(inc)
+	return true, float64(p.floor(&ps.fl))*(1-boundSlack) > float64(inc)
 }
 
 // noteScore offers an achieved candidate score to the shared incumbent.
 func (p *pruner) noteScore(s units.Money) { p.incumbent.min(s) }
 
 // seed assesses up to seedProbes evenly spread candidates of [lo, hi)
-// through the compiled fast path and seeds the incumbent with the best
+// through the compiled tables and seeds the incumbent with the best
 // achieved score, so enumeration order cannot delay pruning (a good
 // candidate in the last shard half would otherwise leave early batches
 // unbounded). Slow-path probes are skipped — seeding is an accelerator
-// and must not duplicate the legacy path's error semantics. Probe
+// and must not duplicate the clone+build path's error semantics. Probe
 // scores are achieved scores, so seeding never changes the argmin; the
 // probes are not counted as Evaluations.
 func (p *pruner) seed(objective Objective, lo, hi int) {
-	cs := p.cs
 	n := hi - lo
-	probes := seedProbes
-	if n < probes {
-		probes = n
-	}
-	if probes <= 0 {
-		return
-	}
-	cols := cs.kern.NewCols(1)
-	rs := cs.rb.NewScratch()
-	var bs core.BatchScratch
-	choice := make([]int, len(cs.knobs))
-	var res whatif.Result
+	probes := min(seedProbes, n)
+	sc := p.cs.rowScorer()
 	for pi := 0; pi < probes; pi++ {
 		idx := lo
 		if probes > 1 {
 			idx = lo + pi*(n-1)/(probes-1)
 		}
-		decodeChoice(choice, cs.knobs, idx)
-		if cs.fill(rs, cols, 0, choice) {
+		sc.assess(idx, 1)
+		if sc.slow[0] {
 			continue
 		}
-		cs.kern.AssessBatch(1, cols, &bs)
-		res.SetBriefs(cs.base.Name, cols.OutlaysTotal[0], cs.scs, bs.Briefs)
-		p.noteScore(objective(res))
+		res, _ := sc.result(0, idx) // compiled rows never error
+		p.noteScore(objective(*res))
 	}
 }

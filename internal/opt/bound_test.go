@@ -44,8 +44,9 @@ func prunedIdentical(t *testing.T, label string, want, got *Solution) {
 }
 
 // TestPrunedMatchesExhaustiveProperty: across random knob spaces, every
-// objective that has a floor, worker counts {1,2,8}, and shard splits,
-// the bound-guided search returns the exhaustive argmin with the
+// objective that has a floor, and the whole sweep grid (batch sizes
+// {1, 7, 64, space} x workers {1, 2, 8}, with and without a compiled
+// space), the bound-guided search returns the exhaustive argmin with the
 // exhaustive tie-break, and retires every candidate exactly once
 // (assessed + pruned == slice size).
 func TestPrunedMatchesExhaustiveProperty(t *testing.T) {
@@ -69,14 +70,12 @@ func TestPrunedMatchesExhaustiveProperty(t *testing.T) {
 		}
 		o := objectives[trial%len(objectives)]
 		ref, refErr := sliceExhaustive(base, knobs, scenarios(), o.obj)
-		for _, workers := range []int{1, 2, 8} {
-			label := fmt.Sprintf("trial %d %s workers %d (%d candidates)", trial, o.name, workers, space)
+		for _, g := range sweepGrid(t, base, knobs, scenarios()) {
+			label := fmt.Sprintf("trial %d %s %v (%d candidates)", trial, o.name, g, space)
 			var stats SearchStats
-			sol, err := ExhaustiveOpts(base, knobs, scenarios(), o.obj, ExhaustiveOptions{
-				Workers: workers,
-				Prune:   true,
-				Floor:   o.floor,
-				Stats:   &stats,
+			sol, err := g.sweep(base, knobs, scenarios(), 0, space).argmin(o.obj, ExhaustiveOptions{
+				Floor: o.floor,
+				Stats: &stats,
 			})
 			if refErr != nil {
 				if !errors.Is(err, refErr) && (err == nil || err.Error() != refErr.Error()) {
@@ -99,9 +98,10 @@ func TestPrunedMatchesExhaustiveProperty(t *testing.T) {
 	}
 }
 
-// TestPrunedShardSplitsMergeIdentically: sharded pruned searches merge to
-// the unsharded exhaustive answer, and MergeShards sums the pruned /
-// bounds counters across shards.
+// TestPrunedShardSplitsMergeIdentically: sharded pruned searches — through
+// ExhaustiveOpts and at every sweep grid point — merge to the unsharded
+// exhaustive answer, and MergeShards sums the pruned / bounds counters
+// across shards.
 func TestPrunedShardSplitsMergeIdentically(t *testing.T) {
 	base := casestudy.Baseline()
 	knobs := []Knob{
@@ -129,25 +129,47 @@ func TestPrunedShardSplitsMergeIdentically(t *testing.T) {
 			}
 			sols[k] = sol
 		}
-		merged, err := MergeShards(sols)
-		if err != nil {
-			t.Fatalf("merge %d shards: %v", m, err)
+		checkPrunedMerge(t, fmt.Sprintf("%d pruned shards", m), whole, sols, space)
+	}
+	for _, g := range sweepGrid(t, base, knobs, scenarios()) {
+		for _, m := range []int{1, 2, 3, 5} {
+			sols := make([]*Solution, m)
+			for k := 0; k < m; k++ {
+				lo, hi := Shard{Index: k, Count: m}.bounds(space)
+				sol, err := g.sweep(base, knobs, scenarios(), lo, hi).argmin(WorstTotalObjective(),
+					ExhaustiveOptions{Floor: WorstTotalFloor()})
+				if err != nil {
+					t.Fatalf("%v shard %d/%d: %v", g, k, m, err)
+				}
+				sols[k] = sol
+			}
+			checkPrunedMerge(t, fmt.Sprintf("%v: %d pruned shards", g, m), whole, sols, space)
 		}
-		label := fmt.Sprintf("%d pruned shards", m)
-		prunedIdentical(t, label, whole, merged)
-		if merged.Evaluations+merged.CandidatesPruned != space {
-			t.Errorf("%s: assessed %d + pruned %d != space %d",
-				label, merged.Evaluations, merged.CandidatesPruned, space)
-		}
-		var pruned, bounds int
-		for _, s := range sols {
-			pruned += s.CandidatesPruned
-			bounds += s.BoundsComputed
-		}
-		if merged.CandidatesPruned != pruned || merged.BoundsComputed != bounds {
-			t.Errorf("%s: merged counters (%d, %d), want sums (%d, %d)",
-				label, merged.CandidatesPruned, merged.BoundsComputed, pruned, bounds)
-		}
+	}
+}
+
+// checkPrunedMerge asserts pruned shard Solutions merge to the
+// exhaustive answer, retire the whole space exactly once, and sum their
+// pruned / bounds counters.
+func checkPrunedMerge(t *testing.T, label string, whole *Solution, sols []*Solution, space int) {
+	t.Helper()
+	merged, err := MergeShards(sols)
+	if err != nil {
+		t.Fatalf("%s: merge: %v", label, err)
+	}
+	prunedIdentical(t, label, whole, merged)
+	if merged.Evaluations+merged.CandidatesPruned != space {
+		t.Errorf("%s: assessed %d + pruned %d != space %d",
+			label, merged.Evaluations, merged.CandidatesPruned, space)
+	}
+	var pruned, bounds int
+	for _, s := range sols {
+		pruned += s.CandidatesPruned
+		bounds += s.BoundsComputed
+	}
+	if merged.CandidatesPruned != pruned || merged.BoundsComputed != bounds {
+		t.Errorf("%s: merged counters (%d, %d), want sums (%d, %d)",
+			label, merged.CandidatesPruned, merged.BoundsComputed, pruned, bounds)
 	}
 }
 

@@ -40,40 +40,36 @@ func compiledKnobs() []Knob {
 }
 
 // TestExhaustiveBatchedMatchesSliceOracle: the acceptance grid of the
-// batch kernel — on randomized knob spaces, the compiled batched search
-// (BatchSize > 0 forces compilation) returns byte-identical Solutions
-// to the slice-based oracle for batch sizes {1, 7, 64, space} x workers
-// {1, 2, 8}.
+// sweep — on randomized knob spaces, the argmin sweep returns
+// byte-identical Solutions to the slice-based oracle for batch sizes
+// {1, 7, 64, space} x workers {1, 2, 8}, with and without a compiled
+// space.
 func TestExhaustiveBatchedMatchesSliceOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	base := casestudy.Baseline()
+	scs := scenarios()
 	for trial := 0; trial < 6; trial++ {
 		knobs := randomKnobs(rng)
 		space, err := SpaceSize(knobs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref, refErr := sliceExhaustive(base, knobs, scenarios(), nil)
-		for _, batch := range []int{1, 7, 64, space} {
-			for _, workers := range []int{1, 2, 8} {
-				label := fmt.Sprintf("trial %d batch %d workers %d (space %d)", trial, batch, workers, space)
-				sol, err := ExhaustiveOpts(base, knobs, scenarios(), nil, ExhaustiveOptions{
-					Workers:   workers,
-					BatchSize: batch,
-				})
-				if refErr != nil {
-					if !errors.Is(err, refErr) && (err == nil || err.Error() != refErr.Error()) {
-						t.Errorf("%s: err = %v, oracle err = %v", label, err, refErr)
-					}
-					continue
+		ref, refErr := sliceExhaustive(base, knobs, scs, nil)
+		for _, g := range sweepGrid(t, base, knobs, scs) {
+			label := fmt.Sprintf("trial %d %v (space %d)", trial, g, space)
+			sol, err := g.sweep(base, knobs, scs, 0, space).argmin(WorstTotalObjective(), ExhaustiveOptions{})
+			if refErr != nil {
+				if !errors.Is(err, refErr) && (err == nil || err.Error() != refErr.Error()) {
+					t.Errorf("%s: err = %v, oracle err = %v", label, err, refErr)
 				}
-				if err != nil {
-					t.Fatalf("%s: %v", label, err)
-				}
-				solutionsIdentical(t, label, ref, sol)
-				if sol.CandidateIndex != ref.CandidateIndex {
-					t.Errorf("%s: candidate index %d, oracle %d", label, sol.CandidateIndex, ref.CandidateIndex)
-				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			solutionsIdentical(t, label, ref, sol)
+			if sol.CandidateIndex != ref.CandidateIndex {
+				t.Errorf("%s: candidate index %d, oracle %d", label, sol.CandidateIndex, ref.CandidateIndex)
 			}
 		}
 	}
@@ -142,50 +138,51 @@ func TestCompiledSpaceMatchesLegacyPerCandidate(t *testing.T) {
 	}
 }
 
-// TestExhaustiveBatchedShardsMergeIdentically: compiled shard searches
-// merge to exactly the unsharded (and legacy) Solution — the
-// sharded/distributed ledger path stays deterministic through the batch
-// kernel.
+// TestExhaustiveBatchedShardsMergeIdentically: at every sweep grid
+// point, shard sweeps merge to exactly the unsharded (and slice-oracle)
+// Solution — the sharded/distributed ledger path stays deterministic
+// through the batch kernel.
 func TestExhaustiveBatchedShardsMergeIdentically(t *testing.T) {
 	base := casestudy.Baseline()
 	knobs := compiledKnobs()
+	scs := scenarios()
 	space, err := SpaceSize(knobs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy, err := ExhaustiveOpts(base, knobs, scenarios(), nil, ExhaustiveOptions{Workers: 1})
+	ref, err := sliceExhaustive(base, knobs, scs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	whole, err := ExhaustiveOpts(base, knobs, scenarios(), nil, ExhaustiveOptions{Workers: 2, BatchSize: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	solutionsIdentical(t, "compiled vs legacy", legacy, whole)
-	for _, m := range []int{2, 3, 5} {
-		sols := make([]*Solution, m)
-		for k := 0; k < m; k++ {
-			sol, err := ExhaustiveOpts(base, knobs, scenarios(), nil, ExhaustiveOptions{
-				Workers:   2,
-				BatchSize: 16,
-				Shard:     Shard{Index: k, Count: m},
-			})
-			switch {
-			case err == nil:
-				sols[k] = sol
-			case errors.Is(err, ErrNoFeasible) && m > space:
-			default:
-				t.Fatalf("shard %d/%d: %v", k, m, err)
-			}
-		}
-		merged, err := MergeShards(sols)
+	objective := WorstTotalObjective()
+	for _, g := range sweepGrid(t, base, knobs, scs) {
+		whole, err := g.sweep(base, knobs, scs, 0, space).argmin(objective, ExhaustiveOptions{})
 		if err != nil {
-			t.Fatalf("merge %d shards: %v", m, err)
+			t.Fatalf("%v: %v", g, err)
 		}
-		label := fmt.Sprintf("%d compiled shards", m)
-		solutionsIdentical(t, label, whole, merged)
-		if merged.CandidateIndex != whole.CandidateIndex {
-			t.Errorf("%s: candidate index %d, want %d", label, merged.CandidateIndex, whole.CandidateIndex)
+		solutionsIdentical(t, fmt.Sprintf("%v vs oracle", g), ref, whole)
+		for _, m := range []int{2, 3, 5} {
+			sols := make([]*Solution, m)
+			for k := 0; k < m; k++ {
+				lo, hi := Shard{Index: k, Count: m}.bounds(space)
+				sol, err := g.sweep(base, knobs, scs, lo, hi).argmin(objective, ExhaustiveOptions{})
+				switch {
+				case err == nil:
+					sols[k] = sol
+				case errors.Is(err, ErrNoFeasible) && m > space:
+				default:
+					t.Fatalf("%v shard %d/%d: %v", g, k, m, err)
+				}
+			}
+			merged, err := MergeShards(sols)
+			if err != nil {
+				t.Fatalf("%v: merge %d shards: %v", g, m, err)
+			}
+			label := fmt.Sprintf("%v: %d shards", g, m)
+			solutionsIdentical(t, label, whole, merged)
+			if merged.CandidateIndex != whole.CandidateIndex {
+				t.Errorf("%s: candidate index %d, want %d", label, merged.CandidateIndex, whole.CandidateIndex)
+			}
 		}
 	}
 }
@@ -236,8 +233,8 @@ func TestCompileSpaceGroupsInteractingKnobs(t *testing.T) {
 }
 
 // TestCompiledFallbacks: options the tables cannot represent — design
-// renames, device moves, apply errors — degrade per candidate (slow
-// path) or per search (legacy fold), never silently diverge.
+// renames, device moves, apply errors — send their candidates down the
+// clone+build path and never silently diverge.
 func TestCompiledFallbacks(t *testing.T) {
 	base := casestudy.Baseline()
 	scs := scenarios()
@@ -268,7 +265,7 @@ func TestCompiledFallbacks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sol, err := ExhaustiveOpts(base, knobs, scs, nil, ExhaustiveOptions{Workers: 2, BatchSize: 3})
+		sol, err := compiledSweep(t, base, knobs, 3, 2).argmin(WorstTotalObjective(), ExhaustiveOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -297,7 +294,7 @@ func TestCompiledFallbacks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sol, err := ExhaustiveOpts(base, knobs, scs, nil, ExhaustiveOptions{Workers: 1, BatchSize: 2})
+		sol, err := compiledSweep(t, base, knobs, 2, 1).argmin(WorstTotalObjective(), ExhaustiveOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -323,11 +320,26 @@ func TestCompiledFallbacks(t *testing.T) {
 		if refErr == nil {
 			t.Fatal("oracle did not error")
 		}
-		_, err := ExhaustiveOpts(base, knobs, scs, nil, ExhaustiveOptions{Workers: 2, BatchSize: 2})
+		_, err := compiledSweep(t, base, knobs, 2, 2).argmin(WorstTotalObjective(), ExhaustiveOptions{})
 		if err == nil || err.Error() != refErr.Error() {
 			t.Errorf("batched err = %v, oracle %v", err, refErr)
 		}
 	})
+}
+
+// compiledSweep compiles knobs over base and plans a sweep of the
+// whole space on it with the given batch size and worker count.
+func compiledSweep(t *testing.T, base *core.Design, knobs []Knob, batch, workers int) *sweep {
+	t.Helper()
+	cs, err := compileSpace(base, knobs, scenarios(), 1)
+	if err != nil {
+		t.Fatalf("compileSpace: %v", err)
+	}
+	space, err := SpaceSize(knobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return gridPoint{cs: cs, batch: batch, workers: workers}.sweep(base, knobs, scenarios(), 0, space)
 }
 
 // TestExhaustiveBatchedAllocBudget: the ISSUE 7 gate — once a space is
@@ -347,15 +359,15 @@ func TestExhaustiveBatchedAllocBudget(t *testing.T) {
 		t.Fatalf("compileSpace: %v", err)
 	}
 	objective := WorstTotalObjective()
-	// Warm-up, then measure full batched search passes over the space.
-	if _, _, _, err := cs.search(0, space, defaultBatchSize, objective, ExhaustiveOptions{Workers: 1}, true, nil); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(5, func() {
-		if _, _, _, err := cs.search(0, space, defaultBatchSize, objective, ExhaustiveOptions{Workers: 1}, true, nil); err != nil {
+	sw := gridPoint{cs: cs, batch: defaultBatchSize, workers: 1}.sweep(base, knobs, scs, 0, space)
+	search := func() {
+		if _, _, err := sw.run(func() sink { return newArgminSink(objective, nil) }, nil); err != nil {
 			t.Fatal(err)
 		}
-	})
+	}
+	// Warm-up, then measure full batched search passes over the space.
+	search()
+	allocs := testing.AllocsPerRun(5, search)
 	perCandidate := allocs / float64(space)
 	if perCandidate > 2 {
 		t.Errorf("batched search allocates %.2f objects per candidate (%.0f over %d), budget 2",

@@ -8,7 +8,6 @@ import (
 
 	"stordep/internal/core"
 	"stordep/internal/failure"
-	"stordep/internal/parallel"
 	"stordep/internal/units"
 )
 
@@ -96,23 +95,16 @@ type ExhaustiveOptions struct {
 	// — evaluated, or pruned wholesale when Prune is set — and may be
 	// read concurrently: a live counter for progress reporting and
 	// heartbeats (internal/dist streams it to the coordinator). It does
-	// not affect the search. The batched compiled path advances it once
-	// per batch rather than per candidate; the final total equals
-	// Evaluations plus CandidatesPruned.
+	// not affect the search. A compiled space advances it once per batch
+	// rather than per candidate; the final total equals Evaluations plus
+	// CandidatesPruned.
 	Progress *atomic.Int64
-	// BatchSize is the candidate count per batched assessment step on
-	// the compiled fast path. 0 picks the default (64) and only compiles
-	// spaces large enough to amortize the compilation pass; any positive
-	// value forces a compilation attempt regardless of space size (the
-	// search still falls back to the legacy fold when the space cannot
-	// be compiled). The result is byte-identical for every batch size.
-	BatchSize int
 	// Prune enables bound-guided subtree pruning on the compiled batched
 	// path: before a batch is assessed, an admissible lower bound on
 	// every candidate in its index range is computed from the compiled
 	// group tables (see bound.go), and the batch is skipped wholesale
 	// when the bound exceeds the best score achieved so far. Requires
-	// Floor; a Prune search also forces a compilation attempt, and runs
+	// Floor; a Prune search compiles whatever the slice size, and runs
 	// unpruned (still exact) whenever the space cannot be compiled or
 	// the bound tables fail their admissibility verification. Pruning
 	// never changes the returned Solution — score, CandidateIndex,
@@ -202,17 +194,6 @@ func allRevertible(knobs []Knob) bool {
 	return true
 }
 
-// exhAcc is one worker's streaming-argmin state: the best (score, global
-// index) seen so far plus the reusable per-worker machinery — the choice
-// decode buffer and the legacy scoring path.
-type exhAcc struct {
-	bestScore units.Money
-	bestIdx   int // global candidate index; -1 = none yet
-	evals     int
-	choice    []int
-	candidate
-}
-
 // Exhaustive evaluates every knob combination on all CPUs and returns
 // the global optimum; see ExhaustiveOpts.
 func Exhaustive(base *core.Design, knobs []Knob, scenarios []failure.Scenario, objective Objective) (*Solution, error) {
@@ -238,21 +219,23 @@ func ExhaustiveWorkers(base *core.Design, knobs []Knob, scenarios []failure.Scen
 // Revertible, each worker also reuses a single cloned design across all
 // its candidates instead of cloning per candidate.
 //
-// Large spaces (or any search with Options.BatchSize set) first try to
-// compile the knob space into flat parameter tables (see compile.go)
-// and assess candidates in batches through core.BatchKernel — the same
-// argmin over the same scores with near-zero steady-state allocation.
-// Compilation is strictly an accelerator: candidates the tables cannot
-// represent take the legacy clone+build path row by row, and any
-// compile-time doubt (probe mismatch, oversized groups) falls back to
-// the legacy fold for the whole space.
+// Slices larger than the compile pass's own cost (compileCost: one
+// clone+build per knob option plus the probe verification), and every
+// pruned search, first compile the knob space into flat parameter
+// tables (see compile.go) and assess candidates in batches through
+// core.BatchKernel — the same argmin over the same scores with
+// near-zero steady-state allocation. Compilation is strictly an
+// accelerator: candidates the tables cannot represent take the
+// clone+build path row by row, and with no compiled space (a small
+// slice, or any compile-time doubt such as a probe mismatch) every
+// candidate takes it. Both run through one sweep (see sweep.go).
 //
-// The result is byte-identical for every worker count and batch size,
-// and across slice-based, streaming, batched and sharded searches: the
-// optimum is the lowest score with ties broken to the lowest global
-// candidate index, a rule that is insensitive to how the index space
-// was partitioned. Candidates scoring +Inf (unbuildable or infeasible)
-// are never selected; if nothing scores below +Inf the search returns
+// The result is byte-identical for every worker count, and across
+// slice-based, streaming, batched and sharded searches: the optimum is
+// the lowest score with ties broken to the lowest global candidate
+// index, a rule that is insensitive to how the index space was
+// partitioned. Candidates scoring +Inf (unbuildable or infeasible) are
+// never selected; if nothing scores below +Inf the search returns
 // ErrNoFeasible.
 func ExhaustiveOpts(base *core.Design, knobs []Knob, scenarios []failure.Scenario, objective Objective, opts ExhaustiveOptions) (*Solution, error) {
 	objective, err := validate(knobs, scenarios, objective)
@@ -271,108 +254,10 @@ func ExhaustiveOpts(base *core.Design, knobs []Knob, scenarios []failure.Scenari
 			ErrSpaceTooLarge, space, opts.Budget)
 	}
 	lo, hi := opts.Shard.bounds(space)
-	reuse := allRevertible(knobs)
-
-	var bestScore units.Money
-	var bestIdx int
-	var tally searchTally
-	if cs := maybeCompile(base, knobs, scenarios, hi-lo, opts); cs != nil {
-		batch := opts.BatchSize
-		if batch <= 0 {
-			batch = defaultBatchSize
-		}
-		if batch > hi-lo {
-			batch = hi - lo
-		}
-		var pr *pruner
-		if opts.Prune {
-			pr = newPruner(cs, opts.Floor, opts.Incumbent)
-		}
-		bestScore, bestIdx, tally, err = cs.search(lo, hi, batch, objective, opts, reuse, pr)
-	} else {
-		bestScore, bestIdx, tally.evals, err = exhaustiveFold(base, knobs, scenarios, objective, opts, lo, hi, reuse)
+	if !opts.Prune {
+		opts.Floor = nil
 	}
-	if opts.Stats != nil {
-		*opts.Stats = SearchStats{Assessed: tally.evals, Pruned: tally.pruned, BoundsComputed: tally.bounds}
-	}
-	if err != nil {
-		return nil, err
-	}
-	if bestIdx < 0 || math.IsInf(float64(bestScore), 1) {
-		return nil, ErrNoFeasible
-	}
-
-	choice := make([]int, len(knobs))
-	decodeChoice(choice, knobs, bestIdx)
-	tuned, err := applyChoice(base, knobs, choice)
-	if err != nil {
-		return nil, err
-	}
-	sol := &Solution{
-		Design:           tuned,
-		Score:            bestScore,
-		Evaluations:      tally.evals,
-		Passes:           1,
-		CandidateIndex:   bestIdx,
-		CandidatesPruned: tally.pruned,
-		BoundsComputed:   tally.bounds,
-	}
-	for i, k := range knobs {
-		sol.Choices = append(sol.Choices, Choice{Knob: k.Name, Option: k.Options[choice[i]]})
-	}
-	return sol, nil
-}
-
-// exhaustiveFold is the legacy per-candidate streaming fold: one clone
-// (or scratch reuse) + build + assess per candidate. It remains the
-// reference semantics the compiled batched path must match bit for bit,
-// and the fallback whenever compilation is skipped or rejected.
-func exhaustiveFold(base *core.Design, knobs []Knob, scenarios []failure.Scenario, objective Objective, opts ExhaustiveOptions, lo, hi int, reuse bool) (units.Money, int, int, error) {
-	acc := func() *exhAcc {
-		return &exhAcc{
-			bestScore: units.Money(math.Inf(1)),
-			bestIdx:   -1,
-			choice:    make([]int, len(knobs)),
-		}
-	}
-	fold := func(a *exhAcc, i int) (*exhAcc, error) {
-		global := lo + i
-		decodeChoice(a.choice, knobs, global)
-		if err := a.evaluate(base, knobs, scenarios, a.choice, reuse); err != nil {
-			return a, err
-		}
-		s := objective(a.res)
-		a.evals++
-		if opts.Progress != nil {
-			opts.Progress.Add(1)
-		}
-		if s < a.bestScore {
-			a.bestScore = s
-			a.bestIdx = global
-		}
-		return a, nil
-	}
-	merge := func(a, b *exhAcc) *exhAcc {
-		a.evals += b.evals
-		if b.bestIdx >= 0 && (a.bestIdx < 0 || b.bestScore < a.bestScore ||
-			(b.bestScore == a.bestScore && b.bestIdx < a.bestIdx)) {
-			a.bestScore, a.bestIdx = b.bestScore, b.bestIdx
-		}
-		return a
-	}
-	mergePhase := merge
-	if profilingEnabled() {
-		mergePhase = func(a, b *exhAcc) *exhAcc {
-			doPhase(labelsReduce, func() { a = merge(a, b) })
-			return a
-		}
-	}
-
-	final, err := parallel.Reduce(opts.Workers, hi-lo, acc, fold, mergePhase)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	return final.bestScore, final.bestIdx, final.evals, nil
+	return newSweep(base, knobs, scenarios, lo, hi, opts.Workers, opts.Floor != nil).argmin(objective, opts)
 }
 
 // MergeShards combines the per-shard Solutions of one sharded exhaustive

@@ -2,13 +2,11 @@ package opt
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"time"
 
 	"stordep/internal/core"
 	"stordep/internal/failure"
-	"stordep/internal/parallel"
 	"stordep/internal/units"
 	"stordep/internal/whatif"
 )
@@ -68,18 +66,14 @@ type FrontierOpts struct {
 	// disjoint shards' results combine with MergeFrontiers into exactly
 	// the unsharded surface.
 	Shard Shard
-	// BatchSize is the per-batch candidate count on the compiled fast
-	// path, as in ExhaustiveOptions.BatchSize. The surface is
-	// byte-identical for every batch size.
-	BatchSize int
 	// Prune enables dominance pruning on the compiled batched path: a
 	// batch whose component floor (see SubtreeFloor) is strictly
 	// dominated by an already achieved point — or provably loses the
 	// whole object under some scenario — is retired wholesale without
 	// assessment. Pruning never changes Points, only the
 	// Evaluations/CandidatesPruned split. Like ExhaustiveOptions.Prune
-	// it forces a compilation attempt and silently runs unpruned when
-	// the space cannot be compiled or bounded.
+	// it compiles whatever the slice size, and silently runs unpruned
+	// when the space cannot be compiled or bounded.
 	Prune bool
 }
 
@@ -189,29 +183,28 @@ func (f *frontierSet) pruneAgainst(fl *SubtreeFloor) bool {
 	return false
 }
 
-// noFloor is the ObjectiveFloor handed to the pruner when Frontier
-// reuses its component-floor machinery: the scalar bound is never used
-// for frontier pruning (dominance against ps.fl is), so it pins the
-// objective floor at -Inf, which can never scalar-prune anything.
-func noFloor(*SubtreeFloor) units.Money { return units.Money(math.Inf(-1)) }
-
-// frontAcc is one worker's frontier accumulator: the streaming set plus
-// the reusable enumeration machinery (mirroring batchAcc/exhAcc).
-type frontAcc struct {
-	set    frontierSet
-	evals  int
-	pruned int
-	bounds int
-
-	choice []int
-	candidate
-
-	cols     *core.Cols
-	rs       *core.RowScratch
-	slow     []bool
-	bscratch core.BatchScratch
-	ps       *pruneScratch
+// frontierSink is one worker's sweep sink for Frontier: a streaming
+// non-dominated set that, with a pruner, retires a batch whose
+// component floor an achieved local point strictly dominates. Pruning
+// needs no seed pass and no shared incumbent: each worker prunes
+// against its own achieved points, so batches are bounded only once a
+// local point exists that could dominate them.
+type frontierSink struct {
+	frontierSet
+	pr *pruner
+	ps *pruneScratch
 }
+
+func (s *frontierSink) skip(blo, bhi int) (bool, bool) {
+	if s.pr == nil || len(s.pts) == 0 || !s.pr.bound(s.ps, blo, bhi) {
+		return false, false
+	}
+	return true, s.pruneAgainst(&s.ps.fl)
+}
+
+func (s *frontierSink) add(idx int, res *whatif.Result) { s.addResult(idx, res) }
+
+func (s *frontierSink) merge(other sink) { s.frontierSet.merge(&other.(*frontierSink).frontierSet) }
 
 // Frontier sweeps every knob combination (or one Shard of them) and
 // returns the full RT/DL/cost non-dominated surface: the candidates
@@ -223,11 +216,12 @@ type frontAcc struct {
 // and Points comes back canonically sorted, so the surface is
 // byte-identical for every worker count, batch size and shard split.
 //
-// Enumeration reuses the exhaustive machinery: the compiled batched
-// fast path when the space compiles (with optional dominance pruning,
-// see FrontierOpts.Prune), the legacy clone+build fold otherwise. No
-// Objective is involved — the frontier is the set a decision-maker
-// picks from before committing to one.
+// Enumeration is the exhaustive search's sweep (see sweep.go) with the
+// argmin sink replaced by a streaming non-dominated set: compiled
+// batches when the space compiles (with optional dominance pruning,
+// see FrontierOpts.Prune), clone+build rows otherwise. No Objective is
+// involved — the frontier is the set a decision-maker picks from before
+// committing to one.
 func Frontier(base *core.Design, knobs []Knob, scenarios []failure.Scenario, opts FrontierOpts) (*FrontierResult, error) {
 	if _, err := validate(knobs, scenarios, nil); err != nil {
 		return nil, err
@@ -244,165 +238,31 @@ func Frontier(base *core.Design, knobs []Knob, scenarios []failure.Scenario, opt
 			ErrSpaceTooLarge, space, opts.Budget)
 	}
 	lo, hi := opts.Shard.bounds(space)
-	reuse := allRevertible(knobs)
-
-	exOpts := ExhaustiveOptions{
-		Workers:   opts.Workers,
-		BatchSize: opts.BatchSize,
-		Prune:     opts.Prune,
-	}
-	if opts.Prune {
-		// Forces the compilation attempt in maybeCompile, exactly like a
-		// pruned exhaustive search.
-		exOpts.Floor = noFloor
-	}
-	var set frontierSet
-	var tally searchTally
-	if cs := maybeCompile(base, knobs, scenarios, hi-lo, exOpts); cs != nil {
-		batch := opts.BatchSize
-		if batch <= 0 {
-			batch = defaultBatchSize
-		}
-		if batch > hi-lo {
-			batch = hi - lo
-		}
-		var pr *pruner
-		if opts.Prune {
-			pr = newPruner(cs, noFloor, 0)
-		}
-		set, tally, err = cs.frontier(lo, hi, batch, opts.Workers, reuse, pr)
-	} else {
-		set, tally.evals, err = frontierFold(base, knobs, scenarios, opts.Workers, lo, hi, reuse)
-	}
+	set, tally, err := newSweep(base, knobs, scenarios, lo, hi, opts.Workers, opts.Prune).frontier(opts.Prune)
 	if err != nil {
 		return nil, err
 	}
-	return assembleFrontier(&set, knobs, tally), nil
+	return assembleFrontier(set, knobs, tally), nil
 }
 
-// frontier is the compiled batched frontier sweep — cs.search with the
-// argmin fold replaced by streaming non-dominated-set accumulation.
-// Pruning needs no seed pass and no shared atomic: each worker prunes
-// against its own achieved points, so batches are bounded only once a
-// local point exists that could dominate them.
-func (cs *compiledSpace) frontier(lo, hi, batch, workers int, reuse bool, pr *pruner) (frontierSet, searchTally, error) {
-	n := hi - lo
-	nb := (n + batch - 1) / batch
-	ns := len(cs.scs)
-
-	acc := func() *frontAcc {
-		a := &frontAcc{
-			choice: make([]int, len(cs.knobs)),
-			cols:   cs.kern.NewCols(batch),
-			rs:     cs.rb.NewScratch(),
-			slow:   make([]bool, batch),
-		}
+// frontier runs the sweep with frontier sinks, pruning by dominance when
+// prune is set and the space compiled.
+func (sw *sweep) frontier(prune bool) (*frontierSet, searchTally, error) {
+	var pr *pruner
+	if prune && sw.cs != nil {
+		pr = newPruner(sw.cs, nil, 0)
+	}
+	final, tally, err := sw.run(func() sink {
+		s := &frontierSink{pr: pr}
 		if pr != nil {
-			a.ps = pr.newScratch()
+			s.ps = pr.newScratch()
 		}
-		return a
-	}
-	fillAndAssess := func(a *frontAcc, blo, m int) {
-		for r := 0; r < m; r++ {
-			decodeChoice(a.choice, cs.knobs, blo+r)
-			a.slow[r] = cs.fill(a.rs, a.cols, r, a.choice)
-		}
-		cs.kern.AssessBatch(m, a.cols, &a.bscratch)
-	}
-	fold := func(a *frontAcc, bi int) (*frontAcc, error) {
-		blo := lo + bi*batch
-		m := batch
-		if blo+m > hi {
-			m = hi - blo
-		}
-		if pr != nil && len(a.set.pts) > 0 {
-			var computed, pruned bool
-			boundBatch := func() {
-				if _, ok := pr.bound(a.ps, blo, blo+m); ok {
-					computed = true
-					pruned = a.set.pruneAgainst(&a.ps.fl)
-				}
-			}
-			if profilingEnabled() {
-				doPhase(labelsPrune, boundBatch)
-			} else {
-				boundBatch()
-			}
-			if computed {
-				a.bounds++
-			}
-			if pruned {
-				a.pruned += m
-				return a, nil
-			}
-		}
-		if profilingEnabled() {
-			doPhase(labelsBatch, func() { fillAndAssess(a, blo, m) })
-		} else {
-			fillAndAssess(a, blo, m)
-		}
-		for r := 0; r < m; r++ {
-			global := blo + r
-			if a.slow[r] {
-				decodeChoice(a.choice, cs.knobs, global)
-				if err := a.evaluate(cs.base, cs.knobs, cs.scs, a.choice, reuse); err != nil {
-					return a, err
-				}
-			} else {
-				a.res.SetBriefs(cs.base.Name, a.cols.OutlaysTotal[r], cs.scs, a.bscratch.Briefs[r*ns:(r+1)*ns])
-			}
-			a.set.addResult(global, &a.res)
-			a.evals++
-		}
-		return a, nil
-	}
-	merge := func(a, b *frontAcc) *frontAcc {
-		a.set.merge(&b.set)
-		a.evals += b.evals
-		a.pruned += b.pruned
-		a.bounds += b.bounds
-		return a
-	}
-	mergePhase := merge
-	if profilingEnabled() {
-		mergePhase = func(a, b *frontAcc) *frontAcc {
-			doPhase(labelsReduce, func() { a = merge(a, b) })
-			return a
-		}
-	}
-	final, err := parallel.Reduce(workers, nb, acc, fold, mergePhase)
+		return s
+	}, nil)
 	if err != nil {
-		return frontierSet{}, searchTally{}, err
+		return nil, tally, err
 	}
-	return final.set, searchTally{evals: final.evals, pruned: final.pruned, bounds: final.bounds}, nil
-}
-
-// frontierFold is the legacy per-candidate frontier sweep, used when
-// the space does not compile. It mirrors exhaustiveFold.
-func frontierFold(base *core.Design, knobs []Knob, scenarios []failure.Scenario, workers, lo, hi int, reuse bool) (frontierSet, int, error) {
-	acc := func() *frontAcc {
-		return &frontAcc{choice: make([]int, len(knobs))}
-	}
-	fold := func(a *frontAcc, i int) (*frontAcc, error) {
-		global := lo + i
-		decodeChoice(a.choice, knobs, global)
-		if err := a.evaluate(base, knobs, scenarios, a.choice, reuse); err != nil {
-			return a, err
-		}
-		a.set.addResult(global, &a.res)
-		a.evals++
-		return a, nil
-	}
-	merge := func(a, b *frontAcc) *frontAcc {
-		a.set.merge(&b.set)
-		a.evals += b.evals
-		return a
-	}
-	final, err := parallel.Reduce(workers, hi-lo, acc, fold, merge)
-	if err != nil {
-		return frontierSet{}, 0, err
-	}
-	return final.set, final.evals, nil
+	return &final.(*frontierSink).frontierSet, tally, nil
 }
 
 // assembleFrontier decodes each surviving point's choices and sorts

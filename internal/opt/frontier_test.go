@@ -133,39 +133,37 @@ func frontierEquals(t *testing.T, label string, want []oraclePt, got *FrontierRe
 	}
 }
 
-// TestFrontierMatchesOracleProperty: across random knob spaces, worker
-// counts {1,2,8} and both enumeration paths (legacy fold and forced
-// compilation), Frontier returns exactly the oracle's non-dominated
-// subset of the exhaustive sweep, and accounts for every candidate.
+// TestFrontierMatchesOracleProperty: across random knob spaces and the
+// whole sweep grid (batch sizes {1, 7, 64, space} x workers {1, 2, 8},
+// with and without a compiled space), the frontier sweep returns
+// exactly the oracle's non-dominated subset of the exhaustive sweep,
+// and accounts for every candidate.
 func TestFrontierMatchesOracleProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	base := casestudy.Baseline()
+	scs := scenarios()
 	for trial := 0; trial < 6; trial++ {
 		knobs := randomKnobs(rng)
 		space := 1
 		for _, k := range knobs {
 			space *= len(k.Options)
 		}
-		want := frontierOracle(t, base, knobs, scenarios())
-		for _, workers := range []int{1, 2, 8} {
-			for _, batch := range []int{0, 1, 7} {
-				label := fmt.Sprintf("trial %d workers %d batch %d (%d candidates)", trial, workers, batch, space)
-				fr, err := Frontier(base, knobs, scenarios(), FrontierOpts{Workers: workers, BatchSize: batch})
-				if err != nil {
-					t.Fatalf("%s: %v", label, err)
-				}
-				frontierEquals(t, label, want, fr, knobs)
-				if fr.Evaluations != space || fr.CandidatesPruned != 0 {
-					t.Errorf("%s: evaluated %d, pruned %d, want %d / 0",
-						label, fr.Evaluations, fr.CandidatesPruned, space)
-				}
+		want := frontierOracle(t, base, knobs, scs)
+		for _, g := range sweepGrid(t, base, knobs, scs) {
+			label := fmt.Sprintf("trial %d %v (%d candidates)", trial, g, space)
+			fr := frontierOf(t, g.sweep(base, knobs, scs, 0, space), false)
+			frontierEquals(t, label, want, fr, knobs)
+			if fr.Evaluations != space || fr.CandidatesPruned != 0 {
+				t.Errorf("%s: evaluated %d, pruned %d, want %d / 0",
+					label, fr.Evaluations, fr.CandidatesPruned, space)
 			}
 		}
 	}
 }
 
-// TestFrontierShardMerge: disjoint shards merge to exactly the
-// unsharded surface, with the evaluation counters summing to the space.
+// TestFrontierShardMerge: at every sweep grid point, disjoint shards
+// merge to exactly the unsharded surface, with the evaluation counters
+// summing to the space.
 func TestFrontierShardMerge(t *testing.T) {
 	base := casestudy.Baseline()
 	knobs := []Knob{
@@ -181,30 +179,27 @@ func TestFrontierShardMerge(t *testing.T) {
 	}
 	want := frontierOracle(t, base, knobs, scenarios())
 	frontierEquals(t, "unsharded", want, whole, knobs)
-	for _, m := range []int{1, 2, 3, 5} {
-		frs := make([]*FrontierResult, m)
-		for k := 0; k < m; k++ {
-			fr, err := Frontier(base, knobs, scenarios(), FrontierOpts{
-				Workers: 2,
-				Shard:   Shard{Index: k, Count: m},
-			})
-			if err != nil {
-				t.Fatalf("shard %d/%d: %v", k, m, err)
+	for _, g := range sweepGrid(t, base, knobs, scenarios()) {
+		for _, m := range []int{1, 2, 3, 5} {
+			frs := make([]*FrontierResult, m)
+			for k := 0; k < m; k++ {
+				lo, hi := Shard{Index: k, Count: m}.bounds(space)
+				frs[k] = frontierOf(t, g.sweep(base, knobs, scenarios(), lo, hi), false)
 			}
-			frs[k] = fr
-		}
-		merged := MergeFrontiers(knobs, frs)
-		label := fmt.Sprintf("%d shards", m)
-		frontierEquals(t, label, want, merged, knobs)
-		if merged.Evaluations != space {
-			t.Errorf("%s: merged evaluations %d, want %d", label, merged.Evaluations, space)
+			merged := MergeFrontiers(knobs, frs)
+			label := fmt.Sprintf("%v: %d shards", g, m)
+			frontierEquals(t, label, want, merged, knobs)
+			if merged.Evaluations != space {
+				t.Errorf("%s: merged evaluations %d, want %d", label, merged.Evaluations, space)
+			}
 		}
 	}
 }
 
 // TestFrontierPrunedIdentical: dominance pruning must not change the
 // surface — only shift candidates from assessed to pruned — and every
-// candidate must still be retired exactly once.
+// candidate must still be retired exactly once, through Frontier and at
+// every sweep grid point.
 func TestFrontierPrunedIdentical(t *testing.T) {
 	base := casestudy.Baseline()
 	knobs := []Knob{
@@ -220,18 +215,20 @@ func TestFrontierPrunedIdentical(t *testing.T) {
 	}
 	want := frontierOracle(t, base, knobs, scenarios())
 	frontierEquals(t, "unpruned", want, plain, knobs)
-	for _, workers := range []int{1, 2, 8} {
-		label := fmt.Sprintf("pruned workers %d", workers)
-		pruned, err := Frontier(base, knobs, scenarios(), FrontierOpts{Workers: workers, Prune: true})
-		if err != nil {
-			t.Fatalf("%s: %v", label, err)
-		}
+	public, err := Frontier(base, knobs, scenarios(), FrontierOpts{Workers: 2, Prune: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	frontierEquals(t, "Frontier pruned", want, public, knobs)
+	for _, g := range sweepGrid(t, base, knobs, scenarios()) {
+		label := fmt.Sprintf("pruned %v", g)
+		pruned := frontierOf(t, g.sweep(base, knobs, scenarios(), 0, space), true)
 		frontierEquals(t, label, want, pruned, knobs)
 		if pruned.Evaluations+pruned.CandidatesPruned != space {
 			t.Errorf("%s: evaluated %d + pruned %d != space %d",
 				label, pruned.Evaluations, pruned.CandidatesPruned, space)
 		}
-		if workers == 1 {
+		if g.cs != nil && g.batch == 1 && g.workers == 1 {
 			t.Logf("%s: pruned %d / %d (%.0f%%), %d bounds",
 				label, pruned.CandidatesPruned, space,
 				100*float64(pruned.CandidatesPruned)/float64(space), pruned.BoundsComputed)

@@ -215,10 +215,9 @@ func applyChoiceTo(d *core.Design, knobs []Knob, choice []int) error {
 	return nil
 }
 
-// candidate is one worker's legacy clone+build scoring machinery, shared
-// by every fold that evaluates candidates one at a time: the optional
-// scratch design plus the allocation-lean evaluator with its Result
-// buffer.
+// candidate is one worker's clone+build scoring machinery, shared by
+// the sweep's scorer and TuneWorkers: the optional scratch design plus
+// the allocation-lean evaluator with its Result buffer.
 type candidate struct {
 	scratch *core.Design // reused across candidates when all knobs are revertible
 	eval    whatif.Evaluator
@@ -240,15 +239,9 @@ func (c *candidate) build(base *core.Design, knobs []Knob, choice []int, reuse b
 			c.scratch = fresh
 		}
 	}
-	// The profiled and unprofiled paths are spelled out separately so the
-	// common (disabled) case pays neither closure allocations nor a
-	// pprof.Do call per candidate.
-	if profilingEnabled() {
-		var err error
-		doPhase(labelsBuild, func() { err = applyChoiceTo(d, knobs, choice) })
-		return d, err
-	}
-	return d, applyChoiceTo(d, knobs, choice)
+	var err error
+	phase(labelsBuild, func() { err = applyChoiceTo(d, knobs, choice) })
+	return d, err
 }
 
 // evaluate builds the candidate and evaluates it into c.res, under
@@ -258,24 +251,8 @@ func (c *candidate) evaluate(base *core.Design, knobs []Knob, scenarios []failur
 	if err != nil {
 		return err
 	}
-	if profilingEnabled() {
-		doPhase(labelsAssess, func() { c.eval.EvaluateInto(d, scenarios, &c.res) })
-	} else {
-		c.eval.EvaluateInto(d, scenarios, &c.res)
-	}
+	phase(labelsAssess, func() { c.eval.EvaluateInto(d, scenarios, &c.res) })
 	return nil
-}
-
-// scoreCandidate is the shared scoring path of Tune and Exhaustive:
-// build the choice vector's candidate and score its evaluation directly
-// via whatif.EvaluateOne — no per-candidate slice wrapping, no repeated
-// error re-wrapping.
-func scoreCandidate(base *core.Design, knobs []Knob, scenarios []failure.Scenario, objective Objective, choice []int) (units.Money, error) {
-	d, err := applyChoice(base, knobs, choice)
-	if err != nil {
-		return 0, err
-	}
-	return objective(whatif.EvaluateOne(d, scenarios)), nil
 }
 
 // choiceKey encodes a knob-choice vector as a memo key.

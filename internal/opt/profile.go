@@ -37,9 +37,13 @@ var phaseProfiling atomic.Bool
 // candidate.
 func PhaseProfiling(on bool) { phaseProfiling.Store(on) }
 
-func profilingEnabled() bool { return phaseProfiling.Load() }
-
-// doPhase runs f under the pprof label set.
-func doPhase(l pprof.LabelSet, f func()) {
-	pprof.Do(context.Background(), l, func(context.Context) { f() })
+// phase runs f, under the pprof label set when phase profiling is on.
+// f does not escape, so the disabled path costs neither a closure
+// allocation nor a pprof.Do call.
+func phase(l pprof.LabelSet, f func()) {
+	if phaseProfiling.Load() {
+		pprof.Do(context.Background(), l, func(context.Context) { f() })
+		return
+	}
+	f()
 }

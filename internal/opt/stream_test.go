@@ -13,7 +13,19 @@ import (
 	"stordep/internal/failure"
 	"stordep/internal/hierarchy"
 	"stordep/internal/units"
+	"stordep/internal/whatif"
 )
+
+// scoreCandidate is the test oracles' scoring path: build the choice
+// vector's candidate on a fresh clone and score its evaluation via
+// whatif.EvaluateOne.
+func scoreCandidate(base *core.Design, knobs []Knob, scenarios []failure.Scenario, objective Objective, choice []int) (units.Money, error) {
+	d, err := applyChoice(base, knobs, choice)
+	if err != nil {
+		return 0, err
+	}
+	return objective(whatif.EvaluateOne(d, scenarios)), nil
+}
 
 // sliceExhaustive is the seed implementation kept as a test oracle: it
 // materializes every combination, scores them one by one, and takes the
@@ -318,23 +330,40 @@ func TestMergeShardsDedupesDuplicates(t *testing.T) {
 }
 
 // TestExhaustiveProgressCounter: the optional Progress counter ends at
-// exactly the number of evaluated candidates — it is what a worker
-// streams in heartbeats, so it must track Evaluations.
+// exactly the number of retired candidates — assessed plus pruned — on
+// both sweep paths. It is what a worker streams in heartbeats, so it
+// must track Evaluations + CandidatesPruned.
 func TestExhaustiveProgressCounter(t *testing.T) {
-	base := casestudy.Baseline()
-	knobs := []Knob{
-		RetCntKnob("vaulting", []int{2, 4, 8}),
-		LinkCountKnob("tape-library", []int{12, 16}),
+	retCnt := make([]int, 512)
+	for i := range retCnt {
+		retCnt[i] = i + 1
 	}
-	var progress atomic.Int64
-	sol, err := ExhaustiveOpts(base, knobs, scenarios(), nil, ExhaustiveOptions{
-		Workers:  4,
-		Progress: &progress,
-	})
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name  string
+		knobs []Knob
+		opts  ExhaustiveOptions
+	}{
+		{"6 candidates, clone+build", []Knob{
+			RetCntKnob("vaulting", []int{2, 4, 8}),
+			LinkCountKnob("tape-library", []int{12, 16}),
+		}, ExhaustiveOptions{Workers: 4}},
+		{"6144 candidates, compiled and pruned",
+			append(table7Knobs(), RetCntKnob("vaulting", retCnt)),
+			ExhaustiveOptions{Workers: 4, Prune: true, Floor: WorstTotalFloor()}},
 	}
-	if got := progress.Load(); got != int64(sol.Evaluations) {
-		t.Errorf("progress = %d, want %d", got, sol.Evaluations)
+	for _, c := range cases {
+		var progress atomic.Int64
+		c.opts.Progress = &progress
+		sol, err := ExhaustiveOpts(casestudy.Baseline(), c.knobs, scenarios(), nil, c.opts)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if got, want := progress.Load(), int64(sol.Evaluations+sol.CandidatesPruned); got != want {
+			t.Errorf("%s: progress = %d, want %d (%d assessed + %d pruned)",
+				c.name, got, want, sol.Evaluations, sol.CandidatesPruned)
+		}
+		if c.opts.Prune && sol.CandidatesPruned == 0 {
+			t.Errorf("%s: nothing pruned; the row does not exercise pruned batches", c.name)
+		}
 	}
 }
